@@ -403,7 +403,7 @@ def _analyze_report(doc, tol):
     if doc.controls:
         ham = hamiltonian_controllability(
             gellmann_basis(doc.N), np.array(doc.h0),
-            [np.array(row) for row in doc.controls])
+            [np.array(row) for row in doc.controls], tol=tol)
         ham_block = {"controllable": ham.controllable, "dim": ham.dim}
     else:
         ham_block = None

@@ -82,15 +82,14 @@ class PiecewiseControl:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled flow: times, states, homogeneous propagators, purities.
+    """Sampled flow: times, states, purities and propagator determinants.
 
-    dets holds det of the linear block of each propagator, precomputed for
-    the volume-contraction check and for CSV export.
+    dets holds det of the linear block of the propagator at each sample
+    point, for the volume-contraction check and for CSV export.
     """
 
     times: np.ndarray
     states: tuple
-    propagators: tuple
     purities: np.ndarray
     dets: np.ndarray
 
@@ -131,7 +130,7 @@ def propagate(system, control, rho_init, samples_per_segment=20):
     g = np.eye(size)
     times = [0.0]
     states = [rho_init]
-    propagators = [g]
+    dets = [np.linalg.det(g[1:, 1:])]
     t = 0.0
     for duration, u in control.segments:
         gen = _segment_generator(system, u)
@@ -144,13 +143,11 @@ def propagate(system, control, rho_init, samples_per_segment=20):
             _check_ball(rho, system.N, "t=%.6g" % t)
             times.append(t)
             states.append(CoherenceVector(system.N, rho, tol=float("inf")))
-            propagators.append(g)
+            dets.append(np.linalg.det(g[1:, 1:]))
     times = np.array(times)
     purities = np.array([purity(s) for s in states])
-    dets = np.array([np.linalg.det(p[1:, 1:]) for p in propagators])
-    return Trajectory(times=times, states=tuple(states),
-                      propagators=tuple(propagators), purities=purities,
-                      dets=dets)
+    return Trajectory(times=times, states=tuple(states), purities=purities,
+                      dets=np.array(dets))
 
 
 def determinant_check(traj, system):

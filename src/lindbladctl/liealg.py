@@ -92,37 +92,56 @@ class LieClosure:
     n: int
 
 
-class _OrthoSpan:
-    """Growing orthonormal set of flat vectors (modified Gram-Schmidt)."""
+def _bracket_closure(seeds, commutator, max_dim, tol, max_generations):
+    """Orthonormal rows spanning the bracket closure of the seed rows.
 
-    def __init__(self, length, tol):
-        self.q = np.empty((0, length))
-        self.tol = tol
+    seeds is a (k, L) array of flat generators; commutator(stack, x) returns
+    the flat brackets [stack_i, x] of every row of stack with x.  Each
+    candidate is unit-normalized, so the acceptance threshold is scale-free,
+    and kept when its residual against the accepted rows exceeds tol.  The
+    seeds are tried first; then every round brackets each member new in the
+    previous round with all earlier members, in pair order.  Returns
+    (rows, generations, converged) as for LieClosure.
+    """
+    rows = np.empty((max_dim, seeds.shape[1]))
+    dim = 0
 
-    @property
-    def dim(self):
-        return self.q.shape[0]
-
-    def add(self, vec):
-        """Try to add a vector; returns the accepted unit residual or None.
-
-        The candidate is unit-normalized before orthogonalization so that
-        the acceptance threshold is scale-free; projection is applied twice
-        for numerical stability.
-        """
-        nrm = np.linalg.norm(vec)
-        if nrm <= 1e-300:
-            return None
-        v = vec / nrm
+    def accept(cands):
+        # A residual only shrinks as rows are added, so candidates already
+        # within tol of the rows accepted before this chunk are dropped in
+        # one GEMM; the few survivors are orthogonalized in order against
+        # the rows this chunk adds.
+        nonlocal dim
+        norms = np.linalg.norm(cands, axis=1)
+        nonzero = norms > 1e-300
+        res = cands[nonzero] / norms[nonzero, None]
+        q = rows[:dim]
         for _ in range(2):
-            if self.dim:
-                v = v - self.q.T @ (self.q @ v)
-        r = np.linalg.norm(v)
-        if r <= self.tol:
-            return None
-        v = v / r
-        self.q = np.vstack([self.q, v])
-        return v
+            res = res - (res @ q.T) @ q
+        start = dim
+        for v in res[np.linalg.norm(res, axis=1) > tol]:
+            new = rows[start:dim]
+            for _ in range(2):
+                v = v - new.T @ (new @ v)
+            r = np.linalg.norm(v)
+            if r > tol and dim < max_dim:
+                rows[dim] = v / r
+                dim += 1
+
+    accept(seeds)
+    generations = 0
+    lo = 0
+    while dim < max_dim and generations < max_generations:
+        hi = dim
+        for j in range(lo, hi):
+            if dim == max_dim:
+                break
+            accept(commutator(rows[:j], rows[j]))
+        if dim == hi:
+            return rows[:dim], generations, True
+        generations += 1
+        lo = hi
+    return rows[:dim], generations, dim == max_dim
 
 
 def closure(generators, tol=1e-9, max_generations=8):
@@ -132,52 +151,32 @@ def closure(generators, tol=1e-9, max_generations=8):
     involving at least one element new in the previous round, keeping a
     bracket when its unit-normalized residual against the current
     orthonormal basis exceeds tol.  Stops when a full round adds nothing
-    or after max_generations productive rounds.
+    or after max_generations productive rounds.  tol also decides the
+    classification.
     """
     generators = list(generators)
     if not generators:
         raise ValueError("closure requires at least one generator")
     n = generators[0].n
-    span = _OrthoSpan((n + 1) ** 2, tol)
-    members = []
+    if any(g.n != n for g in generators):
+        raise ValueError("generators have mismatched dimensions")
+    m = n + 1
 
-    def try_add(gen):
-        v = span.add(gen.homogeneous.ravel())
-        if v is None:
-            return False
-        members.append(AffineGenerator.from_homogeneous(
-            v.reshape(n + 1, n + 1), tol=np.inf))
-        return True
+    def commutator(stack, x):
+        a = stack.reshape(-1, m, m)
+        x = x.reshape(m, m)
+        return (a @ x - x @ a).reshape(stack.shape)
 
-    for g in generators:
-        if g.n != n:
-            raise ValueError("generators have mismatched dimensions")
-        try_add(g)
-    if not members:
+    seeds = np.array([g.homogeneous.ravel() for g in generators])
+    rows, generations, converged = _bracket_closure(
+        seeds, commutator, n * n + n, tol, max_generations)
+    if not len(rows):
         raise ValueError("all generators are numerically zero")
-
-    generations = 0
-    converged = False
-    frontier_start = 0
-    max_dim = n * n + n
-    while generations < max_generations:
-        lo = frontier_start
-        frontier_start = len(members)
-        added = 0
-        for j in range(lo, frontier_start):
-            for i in range(j):
-                if try_add(bracket(members[i], members[j])):
-                    added += 1
-        if added == 0:
-            converged = True
-            break
-        generations += 1
-        if len(members) >= max_dim:
-            converged = True
-            break
-
-    label = _label(members, n, tol=1e-9) if converged else None
-    return LieClosure(basis=tuple(members), dim=len(members),
+    members = tuple(AffineGenerator.from_homogeneous(v.reshape(m, m),
+                                                     tol=np.inf)
+                    for v in rows)
+    label = _label(members, n, tol) if converged else None
+    return LieClosure(basis=members, dim=len(members),
                       generations=generations, converged=converged,
                       classification=label, n=n)
 
@@ -248,7 +247,7 @@ def classify(c, n=None, tol=1e-9):
 
 
 class AccessibilityReport(NamedTuple):
-    accessible: bool
+    accessible: Optional[bool]
     closure_dim: int
     classification: Optional[str]
     generations: int
@@ -260,6 +259,8 @@ def accessibility(system, tol=1e-9, max_generations=8):
     """Decide accessibility in the ball from the closure of drift + controls.
 
     The system is accessible iff the closure is gl(n) or gl(n) x R^n.
+    accessible is None (unknown) when the closure ran out of its generation
+    budget.
     """
     c = closure([system.drift, *system.controls], tol=tol,
                 max_generations=max_generations)
@@ -269,7 +270,8 @@ def accessibility(system, tol=1e-9, max_generations=8):
         "translation_dim": q,
         "has_trace": has_trace,
     }
-    accessible = bool(c.converged and c.classification in ACCESSIBLE_LABELS)
+    accessible = (c.classification in ACCESSIBLE_LABELS if c.converged
+                  else None)
     return AccessibilityReport(accessible, c.dim, c.classification,
                                c.generations, c.converged, features)
 
@@ -361,31 +363,12 @@ def hamiltonian_controllability(basis, h0, hks, tol=1e-9):
         if h.shape != (n,):
             raise ValueError("coefficient vectors must have length %d" % n)
 
-    span = _OrthoSpan(n, tol)
-    members = []
+    def commutator(stack, x):
+        return stack @ np.einsum("jkl,k->jl", basis.f, x)
 
-    def try_add(v):
-        u = span.add(v)
-        if u is not None:
-            members.append(u)
-            return True
-        return False
-
-    for h in seeds:
-        try_add(h)
-    frontier_start = 0
-    while True:
-        lo = frontier_start
-        frontier_start = len(members)
-        added = 0
-        for j in range(lo, frontier_start):
-            for i in range(j):
-                cand = np.einsum("jkl,j,k->l", basis.f, members[i], members[j])
-                if try_add(cand):
-                    added += 1
-        if added == 0 or len(members) >= n:
-            break
-    dim = len(members)
+    # Each productive round adds a row, so a budget of n rounds never binds.
+    rows, _, _ = _bracket_closure(np.array(seeds), commutator, n, tol, n)
+    dim = len(rows)
     return HamiltonianControllabilityReport(dim == n, dim)
 
 

@@ -149,3 +149,28 @@ def matrix_lie_dim(h_vectors, basis, tol=1e-9):
         if not added:
             break
     return len(members)
+
+
+def affine_lie_dim(generators, tol=1e-9):
+    """Dimension of the Lie algebra generated by affine generators.
+
+    Brute force on the homogeneous matrices: adjoin every pairwise
+    commutator of an orthonormal basis of the current span and take the SVD
+    rank, until the rank stops growing.  No candidate-by-candidate
+    acceptance, so this shares nothing with liealg.closure.
+    """
+    m = generators[0].n + 1
+
+    def orthonormal_rows(rows):
+        _, s, vt = np.linalg.svd(rows, full_matrices=False)
+        return vt[:int(np.sum(s > tol * s[0]))]
+
+    span = orthonormal_rows(np.array([g.homogeneous.ravel()
+                                      for g in generators]))
+    while True:
+        mats = span.reshape(-1, m, m)
+        comms = (mats[:, None] @ mats[None] - mats[None] @ mats[:, None])
+        grown = orthonormal_rows(np.vstack([span, comms.reshape(-1, m * m)]))
+        if len(grown) == len(span):
+            return len(span)
+        span = grown

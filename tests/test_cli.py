@@ -7,8 +7,8 @@ import pytest
 
 from lindbladctl.cli import (CliParseError, SystemDocument, cloud_csv,
                              dumps_report, main, trajectory_csv)
-from lindbladctl import (CoherenceVector, PiecewiseControl, preset, propagate,
-                         sample_reachable)
+from lindbladctl import (CoherenceVector, PiecewiseControl, accessibility,
+                         preset, propagate, sample_reachable)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +184,22 @@ def test_analyze_depolarizing_not_accessible(tmp_path):
     assert report["certificates"]["active"] == ["trace", "unital",
                                                 "finite_time"]
     assert report["fixed_point"]["rho"] == [0.0, 0.0, 0.0]
+
+
+def test_analyze_unconverged_closure_reports_unknown(tmp_path, monkeypatch):
+    # the CLI has no budget option; shrink it so the closure stops early
+    monkeypatch.setattr("lindbladctl.cli.accessibility",
+                        lambda system, tol: accessibility(
+                            system, tol=tol, max_generations=1))
+    doc = _write_preset_doc(tmp_path, "amplitude_damping", gamma=0.8)
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(doc), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert '"accessible": null' in text
+    report = json.loads(text)
+    assert report["accessibility"]["converged"] is False
+    assert report["accessibility"]["classification"] is None
+    assert any("did not converge" in w for w in report["warnings"])
 
 
 def test_analyze_byte_identical_reruns(tmp_path):

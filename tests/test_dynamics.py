@@ -59,11 +59,10 @@ def test_trajectory_shapes_and_monotone_time():
     ctrl = PiecewiseControl(((0.3, [1.0, 0.0, 0.0]), (0.7, [0.0, 2.0, 0.0])))
     traj = propagate(system, ctrl, CoherenceVector(2, [0.1, 0.1, 0.1]),
                      samples_per_segment=5)
-    assert len(traj.times) == len(traj.states) == len(traj.propagators) == 11
+    assert len(traj.times) == len(traj.states) == len(traj.dets) == 11
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(1.0)
     assert np.all(np.diff(traj.times) > 0)
-    np.testing.assert_allclose(traj.propagators[0], np.eye(4))
     assert traj.dets[0] == 1.0
 
 

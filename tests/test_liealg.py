@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from _oracles import matrix_lie_dim, random_psd, two_level_system
+from _oracles import (affine_lie_dim, matrix_lie_dim, random_psd,
+                      two_level_system)
 from lindbladctl import (ACCESSIBLE_LABELS, AffineGenerator, ControlSystem,
                         GksMatrix, accessibility, adjoint_generator,
                         assemble_dissipator, bracket, classify, closure,
@@ -51,6 +52,13 @@ def test_closure_generation_budget():
         classify(c)
 
 
+def test_unconverged_accessibility_is_unknown():
+    acc = accessibility(preset("amplitude_damping"), max_generations=1)
+    assert not acc.converged
+    assert acc.classification is None
+    assert acc.accessible is None
+
+
 def test_closure_input_validation():
     with pytest.raises(ValueError):
         closure([])
@@ -72,6 +80,49 @@ def test_classify_isotropic_damping():
                  m_matrix(10) + m_matrix(11) + m_matrix(12)])
     assert c.dim == 4
     assert c.classification == "ad_su + span(I)"
+
+
+def test_one_tolerance_for_acceptance_features_and_label():
+    # X is in gl(n) only through a 1e-6 multiple of the identity part, so at
+    # tol=1e-3 the closure, its features and its label must all read sl(n).
+    x = (m_matrix(10) - m_matrix(11)
+         + 1e-6 * (m_matrix(10) + m_matrix(11) + m_matrix(12)))
+    system = ControlSystem(N=2, hamiltonian=AffineGenerator.zero(3),
+                           controls=(m_matrix(1), m_matrix(2), m_matrix(3)),
+                           dissipator=x)
+    acc = accessibility(system, tol=1e-3)
+    assert acc.closure_dim == 8
+    assert acc.features == {"linear_dim": 8, "translation_dim": 0,
+                            "has_trace": False}
+    assert acc.classification == "sl(n)"
+    c = closure([system.drift, *system.controls], tol=1e-3)
+    assert c.classification == classify(c, tol=1e-3) == "sl(n)"
+    # at the default tolerance the identity part counts
+    assert accessibility(system).classification == "gl(n)"
+
+
+def _random_n3_system(rng):
+    basis = gellmann_basis(3)
+    gks = GksMatrix(random_psd(rng, basis.n))
+    return ControlSystem(
+        N=3, hamiltonian=adjoint_generator(basis, rng.normal(size=basis.n)),
+        controls=tuple(adjoint_generator(basis, rng.normal(size=basis.n))
+                       for _ in range(2)),
+        dissipator=assemble_dissipator(gks, basis), gks=gks)
+
+
+def test_closure_dim_matches_affine_oracle():
+    systems = [preset(name) for name in ("depolarizing", "phase_flip",
+                                         "bit_flip", "bit_phase_flip",
+                                         "amplitude_damping")]
+    systems += [_two_level_system(params) for _, params, _, _ in
+                TAXONOMY_CASES]
+    rng = np.random.default_rng(31)
+    randoms = [_random_n3_system(rng) for _ in range(3)]
+    for system in systems + randoms:
+        gens = [system.drift, *system.controls]
+        assert closure(gens).dim == affine_lie_dim(gens)
+    assert [closure([s.drift, *s.controls]).dim for s in randoms] == [72] * 3
 
 
 def test_taxonomy_cases():
@@ -153,6 +204,8 @@ def test_hamiltonian_controllability_two_level():
     assert not r.controllable and r.dim == 1
     r = hamiltonian_controllability(basis, None, [ex, ez])
     assert r.controllable
+    r = hamiltonian_controllability(basis, np.zeros(3), [np.zeros(3)])
+    assert not r.controllable and r.dim == 0
     with pytest.raises(ValueError):
         hamiltonian_controllability(basis, ez, [])
 
