@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .channels import PRESET_NAMES, ChannelPreset, preset
-from .dissipator import (GksMatrix, assemble_dissipator, check_psd,
-                         fixed_point, is_unital, split_trace)
+from .dissipator import (GksMatrix, _hermitian_tol, assemble_dissipator,
+                         check_psd, fixed_point, is_unital, split_trace)
 from .dynamics import (BallExitError, PiecewiseControl, propagate,
                        sample_reachable)
 from .liealg import (ControlSystem, accessibility,
@@ -203,10 +203,13 @@ class SystemDocument:
                                     % (name, n, n))
         ar = np.array(self.a_real)
         ai = np.array(self.a_imag)
-        if np.max(np.abs(ar - ar.T)) > 1e-12:
-            raise CliParseError("field 'A_real': must be symmetric to 1e-12")
-        if ai.size and np.max(np.abs(ai + ai.T)) > 1e-12:
-            raise CliParseError("field 'A_imag': must be antisymmetric to 1e-12")
+        tol = _hermitian_tol(ar + 1.0j * ai)
+        if np.max(np.abs(ar - ar.T)) > tol:
+            raise CliParseError("field 'A_real': must be symmetric to "
+                                "1e-12 * max(1, max|A|)")
+        if ai.size and np.max(np.abs(ai + ai.T)) > tol:
+            raise CliParseError("field 'A_imag': must be antisymmetric to "
+                                "1e-12 * max(1, max|A|)")
 
     @classmethod
     def from_dict(cls, data):

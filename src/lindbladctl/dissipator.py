@@ -2,12 +2,19 @@
 
 For a Hermitian coefficient matrix A = (a_jk) the dissipator
 
-    rho' = (1/2) sum_jk a_jk (2 lambda_j rho lambda_k - {lambda_k lambda_j, rho})
+    D(rho) = (1/2) sum_jk a_jk (2 lambda_j rho lambda_k - {lambda_k lambda_j, rho})
 
 acts on the coherence vector as sum_jk a_jk (L_jk rho + v_jk rho_0) with
 
     (L_jk)_lr = -(1/4) sum_m [(f_jmr + i d_jmr) f_kml + (f_kmr - i d_kmr) f_jml]
     v_jk      = (i/sqrt(N)) (f_jk1, ..., f_jkn)^T.
+
+assemble_dissipator does not form the L_jk: it computes the linear part as
+G_lr = tr(lambda_l D(lambda_r)), with D written once as an N^2 x N^2
+supermatrix, in O(N^6) time and O(N^4) memory (the stacked L_jk take
+O(N^8)).  The translation is the paper's sum_jk a_jk v_jk, one contraction
+against f, which is exactly zero for a real symmetric A.  build_Ljk and
+build_vjk evaluate the paper's formulas and remain the oracle for it.
 
 L_kj is the entrywise conjugate of L_jk, so the assembled generator is real
 whenever A is Hermitian.  A is admissible when it is positive semidefinite;
@@ -26,12 +33,17 @@ __all__ = ["GksMatrix", "AffineGenerator", "build_Ljk", "build_vjk",
            "is_unital", "split_trace", "fixed_point"]
 
 
+def _hermitian_tol(entries):
+    """Rounding allowance 1e-12 * max(1, max|A|) for Hermiticity checks."""
+    return 1e-12 * max(1.0, float(np.max(np.abs(entries), initial=0.0)))
+
+
 class GksMatrix:
     """Hermitian coefficient matrix of the dissipator.
 
     Parameters
     ----------
-    entries : (n, n) array_like, Hermitian to 1e-12.
+    entries : (n, n) array_like, Hermitian to 1e-12 * max(1, max|A|).
     """
 
     __slots__ = ("entries",)
@@ -40,8 +52,9 @@ class GksMatrix:
         entries = np.asarray(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("GKS matrix must be square")
-        if np.max(np.abs(entries - entries.conj().T)) > 1e-12:
-            raise ValueError("GKS matrix must be Hermitian to 1e-12")
+        if np.max(np.abs(entries - entries.conj().T)) > _hermitian_tol(entries):
+            raise ValueError("GKS matrix must be Hermitian to "
+                             "1e-12 * max(1, max|A|)")
         entries = entries.copy()
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
@@ -58,11 +71,15 @@ class GksMatrix:
         """Build from the symmetric real part and antisymmetric imaginary part."""
         a_real = np.asarray(a_real, dtype=float)
         a_imag = np.asarray(a_imag, dtype=float)
-        if np.max(np.abs(a_real - a_real.T)) > 1e-12:
-            raise ValueError("real part must be symmetric to 1e-12")
-        if np.max(np.abs(a_imag + a_imag.T)) > 1e-12:
-            raise ValueError("imaginary part must be antisymmetric to 1e-12")
-        return cls(a_real + 1.0j * a_imag)
+        entries = a_real + 1.0j * a_imag
+        tol = _hermitian_tol(entries)
+        if np.max(np.abs(a_real - a_real.T)) > tol:
+            raise ValueError("real part must be symmetric to "
+                             "1e-12 * max(1, max|A|)")
+        if np.max(np.abs(a_imag + a_imag.T)) > tol:
+            raise ValueError("imaginary part must be antisymmetric to "
+                             "1e-12 * max(1, max|A|)")
+        return cls(entries)
 
     def __repr__(self):
         return "GksMatrix(n=%d)" % self.n
@@ -72,15 +89,6 @@ def _check_index(basis, j, name):
     if not 1 <= j <= basis.n:
         raise IndexError("%s index must satisfy 1 <= %s <= %d, got %r"
                          % (name, name, basis.n, j))
-
-
-def _L_tensor(basis):
-    """All matrices L_jk stacked as a complex (n, n, n, n) array [j, k, l, r]."""
-    f, d = basis.f, basis.d
-    p = f + 1.0j * d
-    term1 = np.einsum("jmr,kml->jklr", p, f, optimize=True)
-    term2 = np.einsum("kmr,jml->jklr", p.conj(), f, optimize=True)
-    return -0.25 * (term1 + term2)
 
 
 def build_Ljk(basis, j, k):
@@ -107,18 +115,35 @@ def build_vjk(basis, j, k):
 def assemble_dissipator(A, basis):
     """Real affine generator sum_jk a_jk (L_jk, v_jk) for Hermitian A.
 
-    A may be a GksMatrix or a plain Hermitian array.  Pairing the (j, k) and
-    (k, j) terms cancels all imaginary parts; a residual imaginary part above
-    1e-12 indicates a non-Hermitian input and raises.
+    A may be a GksMatrix or a plain Hermitian array.  The linear part is
+    G_lr = tr(lambda_l D(lambda_r)), with D written as an N^2 x N^2
+    Liouville supermatrix acting on row-major vec(X).  A residual imaginary
+    part above 1e-12 * max(1, max|A|) indicates a non-Hermitian input and
+    raises.
     """
     entries = A.entries if isinstance(A, GksMatrix) else np.asarray(A, dtype=complex)
-    if entries.shape != (basis.n, basis.n):
-        raise ValueError("A must be %d x %d" % (basis.n, basis.n))
-    L = _L_tensor(basis)
-    linear = np.einsum("jk,jklr->lr", entries, L, optimize=True)
-    v_all = (1.0j / np.sqrt(basis.N)) * basis.f
-    translation = np.einsum("jk,jkl->l", entries, v_all, optimize=True)
-    if np.max(np.abs(linear.imag)) > 1e-12 or np.max(np.abs(translation.imag)) > 1e-12:
+    n, N = basis.n, basis.N
+    if entries.shape != (n, n):
+        raise ValueError("A must be %d x %d" % (n, n))
+    lams = np.array(basis.lambdas)
+    vecs = lams.reshape(n, N * N)
+    c = (entries @ vecs).reshape(n, N, N)        # c_j = sum_k a_jk lambda_k
+    K = np.einsum("jab,jbc->ac", c, lams)        # sum_jk a_jk lambda_k lambda_j
+    # sum_jk a_jk lambda_j X lambda_k maps X[b, c] to out[a, d] with weight
+    # sum_j lambda_j[a, b] c_j[c, d].
+    jump = (vecs.T @ c.reshape(n, N * N)).reshape(N, N, N, N)
+    eye = np.eye(N)
+    sup = (jump.transpose(0, 3, 1, 2).reshape(N * N, N * N)
+           - 0.5 * (np.kron(K, eye) + np.kron(eye, K.T)))
+    linear = vecs.conj() @ sup @ vecs.T
+    # Translation: sum_jk a_jk v_jk = (i/sqrt(N)) sum_jk a_jk f_jkl.  Re A
+    # and Im A are contracted separately, so f is never copied to complex
+    # and a real A gives a translation of exactly zero.
+    f = basis.f.reshape(n * n, n)
+    translation = (1.0j / np.sqrt(N)) * (entries.real.ravel() @ f
+                                         + 1.0j * (entries.imag.ravel() @ f))
+    tol = _hermitian_tol(entries)
+    if np.max(np.abs(linear.imag)) > tol or np.max(np.abs(translation.imag)) > tol:
         raise ValueError("assembled dissipator has an imaginary part; "
                          "A is not Hermitian to working precision")
     return AffineGenerator(linear.real, translation.real)

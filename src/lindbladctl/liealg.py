@@ -98,22 +98,24 @@ def _bracket_closure(seeds, commutator, max_dim, tol, max_generations):
     seeds is a (k, L) array of flat generators; commutator(stack, x) returns
     the flat brackets [stack_i, x] of every row of stack with x.  Each
     candidate is unit-normalized, so the acceptance threshold is scale-free,
-    and kept when its residual against the accepted rows exceeds tol.  The
-    seeds are tried first; then every round brackets each member new in the
+    and kept when its residual against the accepted rows exceeds tol.  A
+    bracket whose raw norm is at most tol is dropped before normalizing: its
+    inputs are orthonormal rows, so it is zero up to rounding.  The seeds
+    are tried first; then every round brackets each member new in the
     previous round with all earlier members, in pair order.  Returns
     (rows, generations, converged) as for LieClosure.
     """
     rows = np.empty((max_dim, seeds.shape[1]))
     dim = 0
 
-    def accept(cands):
+    def accept(cands, floor):
         # A residual only shrinks as rows are added, so candidates already
         # within tol of the rows accepted before this chunk are dropped in
         # one GEMM; the few survivors are orthogonalized in order against
         # the rows this chunk adds.
         nonlocal dim
         norms = np.linalg.norm(cands, axis=1)
-        nonzero = norms > 1e-300
+        nonzero = norms > floor
         res = cands[nonzero] / norms[nonzero, None]
         q = rows[:dim]
         for _ in range(2):
@@ -128,7 +130,7 @@ def _bracket_closure(seeds, commutator, max_dim, tol, max_generations):
                 rows[dim] = v / r
                 dim += 1
 
-    accept(seeds)
+    accept(seeds, 1e-300)
     generations = 0
     lo = 0
     while dim < max_dim and generations < max_generations:
@@ -136,7 +138,7 @@ def _bracket_closure(seeds, commutator, max_dim, tol, max_generations):
         for j in range(lo, hi):
             if dim == max_dim:
                 break
-            accept(commutator(rows[:j], rows[j]))
+            accept(commutator(rows[:j], rows[j]), tol)
         if dim == hi:
             return rows[:dim], generations, True
         generations += 1
@@ -149,8 +151,8 @@ def closure(generators, tol=1e-9, max_generations=8):
 
     Starting from the given generators, repeatedly brackets all pairs
     involving at least one element new in the previous round, keeping a
-    bracket when its unit-normalized residual against the current
-    orthonormal basis exceeds tol.  Stops when a full round adds nothing
+    bracket when its norm and its unit-normalized residual against the
+    current orthonormal basis both exceed tol.  Stops when a full round adds nothing
     or after max_generations productive rounds.  tol also decides the
     classification.
     """

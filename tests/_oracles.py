@@ -152,12 +152,13 @@ def matrix_lie_dim(h_vectors, basis, tol=1e-9):
 
 
 def affine_lie_dim(generators, tol=1e-9):
-    """Dimension of the Lie algebra generated by affine generators.
+    """(dimension, rounds) of the Lie algebra generated by affine generators.
 
     Brute force on the homogeneous matrices: adjoin every pairwise
     commutator of an orthonormal basis of the current span and take the SVD
-    rank, until the rank stops growing.  No candidate-by-candidate
-    acceptance, so this shares nothing with liealg.closure.
+    rank, until the rank stops growing; rounds counts the adjoin steps that
+    grew it.  No candidate-by-candidate acceptance, so this shares nothing
+    with liealg.closure.
     """
     m = generators[0].n + 1
 
@@ -167,10 +168,12 @@ def affine_lie_dim(generators, tol=1e-9):
 
     span = orthonormal_rows(np.array([g.homogeneous.ravel()
                                       for g in generators]))
+    rounds = 0
     while True:
         mats = span.reshape(-1, m, m)
         comms = (mats[:, None] @ mats[None] - mats[None] @ mats[:, None])
         grown = orthonormal_rows(np.vstack([span, comms.reshape(-1, m * m)]))
         if len(grown) == len(span):
-            return len(span)
+            return len(span), rounds
         span = grown
+        rounds += 1

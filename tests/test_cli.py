@@ -114,6 +114,18 @@ def test_document_validation_errors(mutate, fragment):
         SystemDocument.from_dict(data)
 
 
+def test_document_symmetry_check_is_scale_relative():
+    data = _valid_doc_dict()
+    scaled = [[1e5 * x for x in row] for row in data["A_real"]]
+    scaled[0][1] += 1e-11   # rounding-size asymmetry at this scale
+    data["A_real"] = scaled
+    doc = SystemDocument.from_dict(data)
+    assert doc.to_control_system().admissible
+    scaled[0][1] += 1e-5
+    with pytest.raises(CliParseError, match="symmetric"):
+        SystemDocument.from_dict(data)
+
+
 def test_document_bad_json_reports_location():
     with pytest.raises(CliParseError, match="line 1 column"):
         SystemDocument.from_json("{broken")

@@ -1,5 +1,7 @@
 """Dissipator assembly against the density-matrix oracle and known channels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from lindbladctl import (AffineGenerator, GksMatrix, adjoint_generator,
                         split_trace, two_level_gks)
 
 
-@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_assembly_matches_density_matrix_oracle(N):
     """The key consistency check: coefficient-space assembly equals the
     generator obtained by probing the density-matrix master equation."""
@@ -63,26 +65,73 @@ def test_index_validation():
 
 
 def test_pairwise_real_form_equals_full_sum():
-    # summing over j <= k with the conjugate pair folded in reproduces the
-    # full double sum: (2 - delta_jk) Re(a_jk) Re(L_jk) parts plus the
-    # imaginary cross terms
-    basis = gellmann_basis(3)
-    rng = np.random.default_rng(42)
-    A = random_hermitian(rng, basis.n)
-    full = assemble_dissipator(GksMatrix(A), basis)
-    n = basis.n
-    acc = AffineGenerator.zero(n)
-    for j in range(1, n + 1):
-        for k in range(j, n + 1):
-            L = build_Ljk(basis, j, k)
-            v = build_vjk(basis, j, k)
-            weight = 1.0 if j == k else 2.0
-            re = AffineGenerator(L.real, np.zeros(n))
-            acc = acc + weight * A[j - 1, k - 1].real * re
-            if j != k:
-                im = AffineGenerator(-L.imag, (1.0j * v).real)
-                acc = acc + 2.0 * A[j - 1, k - 1].imag * im
-    np.testing.assert_allclose(acc.homogeneous, full.homogeneous, atol=1e-12)
+    # the paper's formula: summing build_Ljk / build_vjk over j <= k with the
+    # conjugate pair folded in, (2 - delta_jk) Re(a_jk) Re(L_jk) parts plus
+    # the imaginary cross terms, reproduces the assembled generator
+    for N in (2, 3, 4, 5):
+        basis = gellmann_basis(N)
+        rng = np.random.default_rng(42)
+        A = random_hermitian(rng, basis.n)
+        full = assemble_dissipator(GksMatrix(A), basis)
+        n = basis.n
+        acc = AffineGenerator.zero(n)
+        for j in range(1, n + 1):
+            for k in range(j, n + 1):
+                L = build_Ljk(basis, j, k)
+                v = build_vjk(basis, j, k)
+                weight = 1.0 if j == k else 2.0
+                re = AffineGenerator(L.real, np.zeros(n))
+                acc = acc + weight * A[j - 1, k - 1].real * re
+                if j != k:
+                    im = AffineGenerator(-L.imag, (1.0j * v).real)
+                    acc = acc + 2.0 * A[j - 1, k - 1].imag * im
+        np.testing.assert_allclose(acc.homogeneous, full.homogeneous,
+                                   atol=1e-12, err_msg="N=%d" % N)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7])
+def test_real_symmetric_gks_has_exactly_zero_translation(N):
+    basis = gellmann_basis(N)
+    rng = np.random.default_rng(60 + N)
+    for scale in (1.0, 1e3, 1e5):
+        A = random_psd(rng, basis.n, scale=scale).real
+        diss = assemble_dissipator(GksMatrix(A), basis)
+        assert np.all(diss.translation == 0.0)
+        assert is_unital(diss)
+
+
+def test_assembly_memory_at_N7():
+    # the (n, n, n, n) tensor of the paper's L_jk would take 85 MB here
+    basis = gellmann_basis(7)
+    A = GksMatrix(random_psd(np.random.default_rng(7), basis.n))
+    tracemalloc.start()
+    try:
+        assemble_dissipator(A, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+@pytest.mark.parametrize("N", [3, 4, 6])
+def test_assembly_is_linear_in_the_rate_scale(N):
+    basis = gellmann_basis(N)
+    A = random_psd(np.random.default_rng(80 + N), basis.n)
+    ref = assemble_dissipator(GksMatrix(A), basis).homogeneous
+    for exponent in range(-9, 10):
+        s = 10.0 ** exponent
+        got = assemble_dissipator(GksMatrix(s * A), basis).homogeneous
+        np.testing.assert_allclose(got / s, ref, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(ref)))
+        # a grossly non-Hermitian matrix is still rejected at every scale
+        bad = s * A
+        bad[0, 1] += s * np.max(np.abs(A))
+        with pytest.raises(ValueError):
+            GksMatrix(bad)
+        with pytest.raises(ValueError):
+            assemble_dissipator(bad, basis)
+        with pytest.raises(ValueError):
+            GksMatrix.from_real_imag(bad.real, bad.imag)
 
 
 def test_single_entry_assemblies_reproduce_elementary_generators():

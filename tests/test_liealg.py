@@ -11,7 +11,8 @@ from lindbladctl import (ACCESSIBLE_LABELS, AffineGenerator, ControlSystem,
                         gellmann_basis, hamiltonian_controllability,
                         m_matrix, noncontrollability_certificates, preset,
                         verify_structure_constants)
-from lindbladctl.cli import TAXONOMY_CASES, _two_level_system
+from lindbladctl.cli import (TAXONOMY_CASES, SystemDocument,
+                             _two_level_system)
 from lindbladctl.liealg import BRACKET_TABLE
 
 
@@ -121,8 +122,42 @@ def test_closure_dim_matches_affine_oracle():
     randoms = [_random_n3_system(rng) for _ in range(3)]
     for system in systems + randoms:
         gens = [system.drift, *system.controls]
-        assert closure(gens).dim == affine_lie_dim(gens)
+        assert closure(gens).dim == affine_lie_dim(gens)[0]
     assert [closure([s.drift, *s.controls]).dim for s in randoms] == [72] * 3
+
+
+@pytest.mark.parametrize("name, expected", [("amplitude_damping", (12, 4)),
+                                            ("depolarizing", (4, 0))])
+def test_closure_matches_oracle_rounds_on_preset_document_grid(name, expected):
+    """A bracket that is zero up to rounding is not a new direction: the
+    closure dimension and generation count are the oracle's in every cell
+    (the depolarizing channel is never accessible)."""
+    for gamma in (0.2, 0.7, 1.3, 2.0):
+        for h03 in (0.3, -0.3, -0.9, 0.7):
+            system = SystemDocument.from_preset(
+                name, gamma=gamma, h03=h03).to_control_system()
+            gens = [system.drift, *system.controls]
+            c = closure(gens)
+            assert (c.dim, c.generations) == affine_lie_dim(gens) == expected, \
+                (gamma, h03)
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_accessibility_verdict_is_invariant_under_rate_scaling(N):
+    basis = gellmann_basis(N)
+    rng = np.random.default_rng(70 + N)
+    A = random_psd(rng, basis.n)
+    h0, h1, h2 = (adjoint_generator(basis, rng.normal(size=basis.n))
+                  for _ in range(3))
+    for entries in (A, A.real):
+        verdicts = set()
+        for exponent in range(-3, 4):
+            gks = GksMatrix(10.0 ** exponent * entries)
+            acc = accessibility(ControlSystem(
+                N=N, hamiltonian=h0, controls=(h1, h2),
+                dissipator=assemble_dissipator(gks, basis), gks=gks))
+            verdicts.add((acc.accessible, acc.closure_dim, acc.classification))
+        assert len(verdicts) == 1, verdicts
 
 
 def test_taxonomy_cases():
