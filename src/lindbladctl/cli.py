@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import PRESET_NAMES, ChannelPreset, preset
-from .dissipator import (GksMatrix, _hermitian_tol, assemble_dissipator,
+from .dissipator import (GksMatrix, _scaled_tol, assemble_dissipator,
                          check_psd, fixed_point, is_unital, split_trace)
 from .dynamics import (BallExitError, PiecewiseControl, propagate,
                        sample_reachable)
@@ -130,29 +130,40 @@ def dumps_report(obj):
     return "".join(out) + "\n"
 
 
-def _csv_row(values):
-    return ",".join(_fmt_number(v) for v in values)
+def _csv_rows(header, table):
+    """CSV text: the header, then each row of table as %.17g numbers.
+
+    Byte-identical to formatting every value with _fmt_number: integral
+    columns print without a decimal point, and -0.0 prints as 0.
+    """
+    finite = np.isfinite(table)
+    if not finite.all():
+        raise ValueError("cannot serialize non-finite number %r"
+                         % float(table[~finite][0]))
+    row_fmt = ",".join(["%.17g"] * table.shape[1])
+    lines = [header]
+    lines.extend(row_fmt % tuple(row) for row in (table + 0.0).tolist())
+    return "\n".join(lines) + "\n"
 
 
 def trajectory_csv(traj):
     """CSV text for a trajectory: t, rho_1..rho_n, purity, det_g."""
     n = traj.states[0].n
-    lines = ["t," + ",".join("rho_%d" % (i + 1) for i in range(n))
-             + ",purity,det_g"]
-    for i, t in enumerate(traj.times):
-        lines.append(_csv_row([t, *traj.states[i].rho, traj.purities[i],
-                               traj.dets[i]]))
-    return "\n".join(lines) + "\n"
+    return _csv_rows(
+        "t," + ",".join("rho_%d" % (i + 1) for i in range(n))
+        + ",purity,det_g",
+        np.column_stack([traj.times, [s.rho for s in traj.states],
+                         traj.purities, traj.dets]))
 
 
 def cloud_csv(result):
     """CSV text for a reachable-set sample: sample, t, rho_1..rho_n."""
-    n = result.points.shape[2]
-    lines = ["sample,t," + ",".join("rho_%d" % (i + 1) for i in range(n))]
-    for i in range(result.points.shape[0]):
-        for j, t in enumerate(result.grid):
-            lines.append(_csv_row([i, t, *result.points[i, j]]))
-    return "\n".join(lines) + "\n"
+    samples, grid_points, n = result.points.shape
+    return _csv_rows(
+        "sample,t," + ",".join("rho_%d" % (i + 1) for i in range(n)),
+        np.column_stack([np.repeat(np.arange(samples), grid_points),
+                         np.tile(result.grid, samples),
+                         result.points.reshape(-1, n)]))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +214,7 @@ class SystemDocument:
                                     % (name, n, n))
         ar = np.array(self.a_real)
         ai = np.array(self.a_imag)
-        tol = _hermitian_tol(ar + 1.0j * ai)
+        tol = _scaled_tol(ar + 1.0j * ai)
         if np.max(np.abs(ar - ar.T)) > tol:
             raise CliParseError("field 'A_real': must be symmetric to "
                                 "1e-12 * max(1, max|A|)")

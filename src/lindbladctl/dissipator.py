@@ -33,8 +33,8 @@ __all__ = ["GksMatrix", "AffineGenerator", "build_Ljk", "build_vjk",
            "is_unital", "split_trace", "fixed_point"]
 
 
-def _hermitian_tol(entries):
-    """Rounding allowance 1e-12 * max(1, max|A|) for Hermiticity checks."""
+def _scaled_tol(entries):
+    """Rounding allowance 1e-12 * max(1, max|A|) for symmetry checks."""
     return 1e-12 * max(1.0, float(np.max(np.abs(entries), initial=0.0)))
 
 
@@ -52,7 +52,7 @@ class GksMatrix:
         entries = np.asarray(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("GKS matrix must be square")
-        if np.max(np.abs(entries - entries.conj().T)) > _hermitian_tol(entries):
+        if np.max(np.abs(entries - entries.conj().T)) > _scaled_tol(entries):
             raise ValueError("GKS matrix must be Hermitian to "
                              "1e-12 * max(1, max|A|)")
         entries = entries.copy()
@@ -72,7 +72,7 @@ class GksMatrix:
         a_real = np.asarray(a_real, dtype=float)
         a_imag = np.asarray(a_imag, dtype=float)
         entries = a_real + 1.0j * a_imag
-        tol = _hermitian_tol(entries)
+        tol = _scaled_tol(entries)
         if np.max(np.abs(a_real - a_real.T)) > tol:
             raise ValueError("real part must be symmetric to "
                              "1e-12 * max(1, max|A|)")
@@ -142,7 +142,7 @@ def assemble_dissipator(A, basis):
     f = basis.f.reshape(n * n, n)
     translation = (1.0j / np.sqrt(N)) * (entries.real.ravel() @ f
                                          + 1.0j * (entries.imag.ravel() @ f))
-    tol = _hermitian_tol(entries)
+    tol = _scaled_tol(entries)
     if np.max(np.abs(linear.imag)) > tol or np.max(np.abs(translation.imag)) > tol:
         raise ValueError("assembled dissipator has an imaginary part; "
                          "A is not Hermitian to working precision")

@@ -9,22 +9,75 @@ The determinant of the linear block obeys det g(t) = exp(tr(L_D) t) where
 L_D is the linear part of the dissipator; control Hamiltonians are
 traceless and drop out.  This is the volume-contraction law checked by
 determinant_check.
+
+The exponentials come from expm, a scaling-and-squaring Padé routine in
+NumPy that takes a whole stack (..., n, n) at once, so sample_reachable
+advances every sample through one event with a single call.  It is the
+degree-13 method of N. J. Higham, "The scaling and squaring method for the
+matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26, 1179 (2005),
+with the scaling chosen per matrix, so a matrix's exponential does not
+depend on the rest of its stack.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .states import CoherenceVector, purity
 
 __all__ = ["PiecewiseControl", "Trajectory", "BallExitError", "propagate",
            "determinant_check", "purity_rate", "sample_reachable",
-           "ReachableResult"]
+           "ReachableResult", "expm"]
 
 #: Allowed overshoot of ||rho||^2 beyond 1 - 1/N before a run is declared a
 #: numerical (or admissibility) failure.
 BALL_EXIT_TOL = 1e-6
+
+#: Largest segment count a reachable-set sample draws.
+_MAX_SEGMENTS = 8
+
+#: Largest 1-norm for which the [13/13] Padé approximant has a backward error
+#: of at most the double-precision unit roundoff (Higham 2005, Table 2.3).
+_THETA_13 = 5.371920351148152
+
+#: Coefficients b_0..b_13 of the [13/13] Padé approximant, divided by b_0 so
+#: that the denominator of the zero matrix is exactly I and expm(0) == I.
+_PADE_13 = np.array([
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+    16380.0, 182.0, 1.0]) / 64764752532480000.0
+
+
+def expm(a):
+    """Matrix exponential of a real square matrix or a stack (..., n, n).
+
+    Each matrix is scaled by 2^-s, with s the smallest power that brings
+    its 1-norm to at most theta_13, exponentiated with the [13/13] Padé
+    approximant and squared s times.
+    """
+    a = np.asarray(a, dtype=float)
+    shape = a.shape
+    a = a.reshape((-1,) + shape[-2:])
+    mant, expo = np.frexp(np.abs(a).sum(axis=1).max(axis=1) / _THETA_13)
+    s = np.maximum(expo - (mant == 0.5), 0)
+    squarings = int(s.max(initial=0))
+    if squarings:
+        a = np.ldexp(a, -s[:, None, None])
+    b = _PADE_13
+    ident = np.eye(shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(squarings):
+        more = s > k
+        r[more] = r[more] @ r[more]
+    return r.reshape(shape)
 
 
 class BallExitError(RuntimeError):
@@ -104,13 +157,17 @@ def _segment_generator(system, u):
     return g
 
 
+def _ball_exit_error(context, excess):
+    return BallExitError(
+        "state left the coherence ball (%s): ||rho||^2 exceeds 1 - 1/N "
+        "by %.3e; the system is likely inadmissible or the dynamics "
+        "numerically unstable" % (context, excess))
+
+
 def _check_ball(rho, N, context):
     excess = float(rho @ rho) - (1.0 - 1.0 / N)
     if excess > BALL_EXIT_TOL:
-        raise BallExitError(
-            "state left the coherence ball (%s): ||rho||^2 exceeds 1 - 1/N "
-            "by %.3e; the system is likely inadmissible or the dynamics "
-            "numerically unstable" % (context, excess))
+        raise _ball_exit_error(context, excess)
 
 
 def propagate(system, control, rho_init, samples_per_segment=20):
@@ -200,6 +257,12 @@ def sample_reachable(system, rho_init, horizon, num_samples=500, seed=0,
     amplitudes uniform on [-control_bound, control_bound].  States are
     recorded on a shared uniform time grid, so results are reproducible
     and independent of sample order.
+
+    All samples advance together: at each event every sample's step is
+    exponentiated in one stacked expm call and multiplied into its
+    propagator.  Memory is O(num_samples * N^4).  Raises BallExitError,
+    naming a sample and a time, if a state leaves the ball by more than
+    BALL_EXIT_TOL.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -213,44 +276,67 @@ def sample_reachable(system, rho_init, horizon, num_samples=500, seed=0,
     n = system.N * system.N - 1
     grid = np.linspace(0.0, horizon, grid_points)
     bar0 = rho_init.bar
-    points = np.empty((num_samples, grid_points, n))
-    max_increase = 0.0
+
+    # The draws of each sample, from its own substream; segment slots a
+    # sample does not use have bound +inf and zero amplitudes.
+    bounds = np.full((num_samples, _MAX_SEGMENTS), np.inf)
+    amps = np.zeros((num_samples, _MAX_SEGMENTS, q))
+    for i in range(num_samples):
+        rng = np.random.default_rng([seed, i])
+        m = int(rng.integers(1, _MAX_SEGMENTS + 1))
+        durations = horizon * rng.dirichlet(np.ones(m))
+        amps[i, :m] = rng.uniform(-control_bound, control_bound, size=(m, q))
+        bounds[i, :m] = np.cumsum(durations)
+        bounds[i, m - 1] = horizon
+
+    # Row i of the event table is the union of the grid and the segment
+    # bounds of sample i up to the horizon, in increasing order, padded at
+    # the end with repeats of the horizon: identity steps (dt = 0).
+    events = np.sort(np.concatenate(
+        [np.broadcast_to(grid[1:], (num_samples, grid_points - 1)),
+         np.minimum(bounds, horizon)], axis=1), axis=1)
+    events[:, 1:][events[:, 1:] == events[:, :-1]] = horizon
+    events.sort(axis=1)
+    events = events[:, :np.max(np.sum(events < horizon, axis=1)) + 1]
+    # Column of grid time j + 1 in each row (its first occurrence).
+    grid_col = np.sum(events[:, None, :] < grid[1:, None], axis=2)
+    if not np.all(np.take_along_axis(events, grid_col, axis=1) == grid[1:]):
+        raise RuntimeError("internal error: grid point not reached")
+
+    # Each event's step and the amplitudes of the segment that holds the
+    # midpoint of the step (no midpoint exceeds the last bound, the horizon).
+    t_prev = np.concatenate([np.zeros((num_samples, 1)), events[:, :-1]],
+                            axis=1)
+    dt = events - t_prev
+    seg = np.sum(bounds[:, None, :] < 0.5 * (t_prev + events)[:, :, None],
+                 axis=2)
+    seg_amps = np.take_along_axis(amps, seg[:, :, None], axis=1)
 
     drift_h = system.drift.homogeneous
     ctrl_h = [c.homogeneous for c in system.controls]
-
-    for i in range(num_samples):
-        rng = np.random.default_rng([seed, i])
-        m = int(rng.integers(1, 9))
-        durations = horizon * rng.dirichlet(np.ones(m))
-        amps = rng.uniform(-control_bound, control_bound, size=(m, q))
-        bounds = np.cumsum(durations)
-        bounds[-1] = horizon
-        events = np.union1d(grid[1:], bounds)
-        events = events[events <= horizon]
-
-        g = np.eye(n + 1)
-        points[i, 0] = bar0[1:]
-        prev_norm = float(np.linalg.norm(bar0[1:]))
-        t_prev = 0.0
-        gi = 1
-        for t in events:
-            seg = min(int(np.searchsorted(bounds, 0.5 * (t_prev + t))), m - 1)
-            gen = drift_h.copy()
-            for a, ch in zip(amps[seg], ctrl_h):
-                gen += a * ch
-            g = expm(gen * (t - t_prev)) @ g
-            rho = (g @ bar0)[1:]
-            _check_ball(rho, system.N, "sample %d, t=%.6g" % (i, t))
-            nrm = float(np.linalg.norm(rho))
-            max_increase = max(max_increase, nrm - prev_norm)
-            prev_norm = nrm
-            if gi < grid_points and t == grid[gi]:
-                points[i, gi] = rho
-                gi += 1
-            t_prev = t
-        if gi != grid_points:
-            raise RuntimeError("internal error: grid point not reached")
+    radius2 = 1.0 - 1.0 / system.N
+    points = np.empty((num_samples, grid_points, n))
+    points[:, 0] = bar0[1:]
+    g = np.eye(n + 1)
+    prev_norm = np.linalg.norm(bar0[1:])
+    max_increase = 0.0
+    for k in range(events.shape[1]):
+        gen = np.repeat(drift_h[None], num_samples, axis=0)
+        for a, ch in zip(seg_amps[:, k].T, ctrl_h):
+            gen += a[:, None, None] * ch
+        g = np.matmul(expm(gen * dt[:, k, None, None]), g)
+        rho = (g @ bar0)[:, 1:]
+        sq = np.einsum("ij,ij->i", rho, rho)
+        out = np.flatnonzero(sq - radius2 > BALL_EXIT_TOL)
+        if out.size:
+            i = out[0]
+            raise _ball_exit_error("sample %d, t=%.6g" % (i, events[i, k]),
+                                   sq[i] - radius2)
+        nrm = np.sqrt(sq)
+        max_increase = max(max_increase, float(np.max(nrm - prev_norm)))
+        prev_norm = nrm
+        hit, j = np.nonzero(grid_col == k)
+        points[hit, j + 1] = rho[hit]
 
     max_norms = np.linalg.norm(points, axis=2).max(axis=0)
     unital = is_unital(system.dissipator)

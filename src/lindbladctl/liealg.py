@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .affine import AffineGenerator, bracket
-from .dissipator import fixed_point, is_unital
+from .dissipator import _scaled_tol, fixed_point, is_unital
 from .states import purity
 
 __all__ = ["ControlSystem", "LieClosure", "bracket", "closure", "classify",
@@ -60,11 +60,14 @@ class ControlSystem:
             if gen.n != n:
                 raise ValueError("%s generator has dimension %d, expected %d"
                                  % (name, gen.n, n))
-            if np.max(np.abs(gen.linear + gen.linear.T)) > 1e-12:
+            tol = _scaled_tol(gen.linear)
+            if np.max(np.abs(gen.linear + gen.linear.T)) > tol:
                 raise ValueError("%s generator must have a skew-symmetric "
-                                 "linear part" % name)
-            if np.max(np.abs(gen.translation)) > 1e-12:
-                raise ValueError("%s generator must have no translation" % name)
+                                 "linear part (to 1e-12 * max(1, "
+                                 "max|linear|))" % name)
+            if np.max(np.abs(gen.translation)) > tol:
+                raise ValueError("%s generator must have no translation "
+                                 "(to 1e-12 * max(1, max|linear|))" % name)
         if self.dissipator.n != n:
             raise ValueError("dissipator has dimension %d, expected %d"
                              % (self.dissipator.n, n))

@@ -177,3 +177,54 @@ def affine_lie_dim(generators, tol=1e-9):
             return len(span), rounds
         span = grown
         rounds += 1
+
+
+def sample_reachable_loop(system, rho_init, horizon, num_samples=500, seed=0,
+                          control_bound=10.0, grid_points=11):
+    """(points, max_norm_increase) of sample_reachable, one sample at a time.
+
+    One sample after another and one SciPy expm per event, where
+    sample_reachable advances all samples together through NumPy expm.  It
+    makes the same draws from the same per-sample substreams, so the two
+    must agree to roundoff.
+    """
+    from scipy.linalg import expm
+
+    q = len(system.controls)
+    n = system.N * system.N - 1
+    grid = np.linspace(0.0, horizon, grid_points)
+    bar0 = rho_init.bar
+    points = np.empty((num_samples, grid_points, n))
+    max_increase = 0.0
+    drift_h = system.drift.homogeneous
+    ctrl_h = [c.homogeneous for c in system.controls]
+    for i in range(num_samples):
+        rng = np.random.default_rng([seed, i])
+        m = int(rng.integers(1, 9))
+        durations = horizon * rng.dirichlet(np.ones(m))
+        amps = rng.uniform(-control_bound, control_bound, size=(m, q))
+        bounds = np.cumsum(durations)
+        bounds[-1] = horizon
+        events = np.union1d(grid[1:], bounds)
+        events = events[events <= horizon]
+        g = np.eye(n + 1)
+        points[i, 0] = bar0[1:]
+        prev_norm = float(np.linalg.norm(bar0[1:]))
+        t_prev = 0.0
+        gi = 1
+        for t in events:
+            seg = min(int(np.searchsorted(bounds, 0.5 * (t_prev + t))), m - 1)
+            gen = drift_h.copy()
+            for a, ch in zip(amps[seg], ctrl_h):
+                gen += a * ch
+            g = expm(gen * (t - t_prev)) @ g
+            rho = (g @ bar0)[1:]
+            nrm = float(np.linalg.norm(rho))
+            max_increase = max(max_increase, nrm - prev_norm)
+            prev_norm = nrm
+            if gi < grid_points and t == grid[gi]:
+                points[i, gi] = rho
+                gi += 1
+            t_prev = t
+        assert gi == grid_points
+    return points, max_increase

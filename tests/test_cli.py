@@ -1,14 +1,20 @@
 """Command-line interface: documents, reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lindbladctl.cli import (CliParseError, SystemDocument, cloud_csv,
-                             dumps_report, main, trajectory_csv)
+from lindbladctl.cli import (CliParseError, SystemDocument, _fmt_number,
+                             cloud_csv, dumps_report, main, trajectory_csv)
 from lindbladctl import (CoherenceVector, PiecewiseControl, accessibility,
                          preset, propagate, sample_reachable)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +73,42 @@ def test_csv_writers():
     cloud = cloud_csv(result).strip().split("\n")
     assert cloud[0] == "sample,t,rho_1,rho_2,rho_3"
     assert len(cloud) == 1 + 2 * len(result.grid)
+
+
+def test_csv_writers_match_per_value_formatting():
+    # the bulk writers print exactly what _fmt_number prints value by value
+    system = preset("amplitude_damping", gamma=0.7)
+    v0 = CoherenceVector(2, [0.3, -0.0, 0.4])
+    traj = propagate(system, PiecewiseControl(((0.3, [1.0, -2.0, 0.0]),
+                                               (0.5, [0.0, 0.0, 3.0]))),
+                     v0, samples_per_segment=5)
+    rows = [[t, *state.rho, p, d] for t, state, p, d in
+            zip(traj.times, traj.states, traj.purities, traj.dets)]
+    lines = trajectory_csv(traj).split("\n")
+    assert lines[1:] == [",".join(map(_fmt_number, r)) for r in rows] + [""]
+    assert lines[1].split(",")[2] == "0"  # -0.0 prints as 0
+
+    result = sample_reachable(system, v0, 1.0, num_samples=12, seed=4)
+    rows = [[i, t, *result.points[i, j]] for i in range(12)
+            for j, t in enumerate(result.grid)]
+    lines = cloud_csv(result).split("\n")
+    assert lines[1:] == [",".join(map(_fmt_number, r)) for r in rows] + [""]
+
+    result.points[3, 2, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        cloud_csv(result)
+
+
+def test_cli_import_does_not_load_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys, lindbladctl.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
-from _oracles import random_piecewise, random_psd, two_level_system
-from lindbladctl import (BallExitError, CoherenceVector, PiecewiseControl,
-                        determinant_check, preset, propagate, purity,
+from scipy.linalg import expm as scipy_expm
+
+from _oracles import (random_piecewise, random_psd, sample_reachable_loop,
+                      two_level_system)
+from lindbladctl import (BallExitError, CoherenceVector, GksMatrix,
+                        PRESET_NAMES, PiecewiseControl, adjoint_generator,
+                        assemble_dissipator, determinant_check,
+                        gellmann_basis, preset, propagate, purity,
                         purity_rate, sample_reachable)
+from lindbladctl.dynamics import expm
 
 
 def test_piecewise_control_validation():
@@ -166,3 +172,60 @@ def test_sample_reachable_input_validation():
         sample_reachable(system, v0, -1.0)
     with pytest.raises(ValueError):
         sample_reachable(system, v0, 1.0, num_samples=0)
+
+
+def _generator_stack(rng, N, count):
+    """Homogeneous generators: random dissipator plus random Hamiltonian."""
+    basis = gellmann_basis(N)
+    return np.array([
+        assemble_dissipator(GksMatrix(random_psd(rng, basis.n)),
+                            basis).homogeneous
+        + 3.0 * adjoint_generator(basis, rng.normal(size=basis.n)).homogeneous
+        for _ in range(count)])
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_expm_matches_scipy_on_stacks(N):
+    rng = np.random.default_rng(40 + N)
+    gens = _generator_stack(rng, N, 6)
+    unit = gens / np.abs(gens).sum(axis=1).max(axis=1)[:, None, None]
+    norms = 10.0 ** np.arange(-8, 4)
+    stack = norms[:, None, None, None] * unit  # (12, 6, N^2, N^2)
+    got = expm(stack)
+    assert got.shape == stack.shape
+    for a, e in zip(stack.reshape(-1, N * N, N * N),
+                    got.reshape(-1, N * N, N * N)):
+        ref = scipy_expm(a)
+        assert np.max(np.abs(e - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # one matrix alone gives the same bits as inside the stack
+        np.testing.assert_array_equal(expm(a), e)
+
+
+def test_expm_of_zero_is_exactly_identity():
+    np.testing.assert_array_equal(expm(np.zeros((3, 4, 4))),
+                                  np.broadcast_to(np.eye(4), (3, 4, 4)))
+    np.testing.assert_array_equal(expm(-0.0 * np.ones((9, 9))), np.eye(9))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_sample_reachable_matches_sample_at_a_time_loop(name):
+    v0 = CoherenceVector(2, [0.3, -0.2, 0.4])
+    for gamma, h03 in ((1.0, 0.0), (0.7, 0.3), (2.0, -0.9)):
+        system = preset(name, gamma=gamma, h03=h03)
+        result = sample_reachable(system, v0, 1.5, num_samples=60, seed=9)
+        points, max_increase = sample_reachable_loop(system, v0, 1.5,
+                                                     num_samples=60, seed=9)
+        np.testing.assert_allclose(result.points, points, rtol=0, atol=1e-12)
+        assert result.max_norm_increase == pytest.approx(max_increase,
+                                                         rel=0, abs=1e-12)
+        if result.unital:
+            max_norms = np.linalg.norm(points, axis=2).max(axis=0)
+            assert result.nested_balls_ok == bool(
+                np.all(np.diff(max_norms) <= 1e-10) and max_increase <= 1e-10)
+
+
+def test_sample_reachable_raises_ball_exit_for_inadmissible_system():
+    system = two_level_system(np.diag([-1.0, 0.0, 0.0]))
+    with pytest.raises(BallExitError, match=r"sample \d+, t=\S+\)"):
+        sample_reachable(system, CoherenceVector(2, [0.3, 0.0, 0.4]), 10.0,
+                         num_samples=20, seed=1)

@@ -198,6 +198,26 @@ def test_control_system_validation():
     np.testing.assert_allclose(system.drift.homogeneous, diss.homogeneous)
 
 
+@pytest.mark.parametrize("N", [3, 4, 7])
+def test_control_system_checks_are_scale_relative(N):
+    basis = gellmann_basis(N)
+    rng = np.random.default_rng(80 + N)
+    diss = AffineGenerator.zero(basis.n)
+    big = adjoint_generator(basis, 1e5 * rng.normal(size=basis.n))
+    ControlSystem(N=N, hamiltonian=big, controls=(big,), dissipator=diss)
+    # a 1% symmetric defect is still rejected, as Hamiltonian and as control
+    skewed = AffineGenerator(big.linear + 0.01 * np.abs(big.linear))
+    with pytest.raises(ValueError, match="skew-symmetric"):
+        ControlSystem(N=N, hamiltonian=skewed, controls=(), dissipator=diss)
+    with pytest.raises(ValueError, match="skew-symmetric"):
+        ControlSystem(N=N, hamiltonian=big, controls=(skewed,),
+                      dissipator=diss)
+    shifted = AffineGenerator(big.linear, 0.01 * np.abs(big.linear).max()
+                              * np.ones(basis.n))
+    with pytest.raises(ValueError, match="translation"):
+        ControlSystem(N=N, hamiltonian=shifted, controls=(), dissipator=diss)
+
+
 def test_certificates_unital_channel():
     report = noncontrollability_certificates(preset("depolarizing", gamma=0.5))
     assert report.active_names == ("trace", "unital", "finite_time")
