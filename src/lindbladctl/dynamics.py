@@ -36,6 +36,10 @@ BALL_EXIT_TOL = 1e-6
 #: Largest segment count a reachable-set sample draws.
 _MAX_SEGMENTS = 8
 
+#: Samples sample_reachable advances together; memory per block is
+#: O(_SAMPLE_BLOCK * N^4).
+_SAMPLE_BLOCK = 1024
+
 #: Largest 1-norm for which the [13/13] Padé approximant has a backward error
 #: of at most the double-precision unit roundoff (Higham 2005, Table 2.3).
 _THETA_13 = 5.371920351148152
@@ -258,11 +262,11 @@ def sample_reachable(system, rho_init, horizon, num_samples=500, seed=0,
     recorded on a shared uniform time grid, so results are reproducible
     and independent of sample order.
 
-    All samples advance together: at each event every sample's step is
-    exponentiated in one stacked expm call and multiplied into its
-    propagator.  Memory is O(num_samples * N^4).  Raises BallExitError,
-    naming a sample and a time, if a state leaves the ball by more than
-    BALL_EXIT_TOL.
+    Samples advance in blocks of up to _SAMPLE_BLOCK: at each event every
+    sample of a block has its step exponentiated in one stacked expm call
+    and multiplied into its propagator.  Memory is O(_SAMPLE_BLOCK * N^4)
+    beyond the returned points.  Raises BallExitError, naming a sample and
+    a time, if a state leaves the ball by more than BALL_EXIT_TOL.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -272,25 +276,52 @@ def sample_reachable(system, rho_init, horizon, num_samples=500, seed=0,
         raise ValueError("grid_points must be >= 2")
     from .dissipator import is_unital
 
-    q = len(system.controls)
     n = system.N * system.N - 1
     grid = np.linspace(0.0, horizon, grid_points)
-    bar0 = rho_init.bar
+    points = np.empty((num_samples, grid_points, n))
+    max_increase = 0.0
+    for start in range(0, num_samples, _SAMPLE_BLOCK):
+        stop = min(start + _SAMPLE_BLOCK, num_samples)
+        max_increase = max(max_increase, _sample_block(
+            system, rho_init.bar, horizon, grid, seed, range(start, stop),
+            control_bound, points[start:stop]))
+
+    max_norms = np.linalg.norm(points, axis=2).max(axis=0)
+    unital = is_unital(system.dissipator)
+    nested = None
+    if unital:
+        nested = bool(np.all(np.diff(max_norms) <= 1e-10)
+                      and max_increase <= 1e-10)
+    return ReachableResult(grid=grid, points=points, max_norms=max_norms,
+                           max_norm_increase=max_increase, unital=unital,
+                           nested_balls_ok=nested)
+
+
+def _sample_block(system, bar0, horizon, grid, seed, samples, control_bound,
+                  points):
+    """Advance the samples of one block of sample_reachable.
+
+    samples is the range of sample indices; fills their rows of points
+    (grid index 0 included) and returns the block's largest norm increase.
+    """
+    num_samples = len(samples)
+    grid_points = len(grid)
+    q = len(system.controls)
 
     # The draws of each sample, from its own substream; segment slots a
     # sample does not use have bound +inf and zero amplitudes.
     bounds = np.full((num_samples, _MAX_SEGMENTS), np.inf)
     amps = np.zeros((num_samples, _MAX_SEGMENTS, q))
-    for i in range(num_samples):
+    for b, i in enumerate(samples):
         rng = np.random.default_rng([seed, i])
         m = int(rng.integers(1, _MAX_SEGMENTS + 1))
         durations = horizon * rng.dirichlet(np.ones(m))
-        amps[i, :m] = rng.uniform(-control_bound, control_bound, size=(m, q))
-        bounds[i, :m] = np.cumsum(durations)
-        bounds[i, m - 1] = horizon
+        amps[b, :m] = rng.uniform(-control_bound, control_bound, size=(m, q))
+        bounds[b, :m] = np.cumsum(durations)
+        bounds[b, m - 1] = horizon
 
-    # Row i of the event table is the union of the grid and the segment
-    # bounds of sample i up to the horizon, in increasing order, padded at
+    # Row b of the event table is the union of the grid and the segment
+    # bounds of sample b up to the horizon, in increasing order, padded at
     # the end with repeats of the horizon: identity steps (dt = 0).
     events = np.sort(np.concatenate(
         [np.broadcast_to(grid[1:], (num_samples, grid_points - 1)),
@@ -315,9 +346,8 @@ def sample_reachable(system, rho_init, horizon, num_samples=500, seed=0,
     drift_h = system.drift.homogeneous
     ctrl_h = [c.homogeneous for c in system.controls]
     radius2 = 1.0 - 1.0 / system.N
-    points = np.empty((num_samples, grid_points, n))
     points[:, 0] = bar0[1:]
-    g = np.eye(n + 1)
+    g = np.eye(len(bar0))
     prev_norm = np.linalg.norm(bar0[1:])
     max_increase = 0.0
     for k in range(events.shape[1]):
@@ -329,21 +359,13 @@ def sample_reachable(system, rho_init, horizon, num_samples=500, seed=0,
         sq = np.einsum("ij,ij->i", rho, rho)
         out = np.flatnonzero(sq - radius2 > BALL_EXIT_TOL)
         if out.size:
-            i = out[0]
-            raise _ball_exit_error("sample %d, t=%.6g" % (i, events[i, k]),
-                                   sq[i] - radius2)
+            b = out[0]
+            raise _ball_exit_error("sample %d, t=%.6g"
+                                   % (samples[b], events[b, k]),
+                                   sq[b] - radius2)
         nrm = np.sqrt(sq)
         max_increase = max(max_increase, float(np.max(nrm - prev_norm)))
         prev_norm = nrm
         hit, j = np.nonzero(grid_col == k)
         points[hit, j + 1] = rho[hit]
-
-    max_norms = np.linalg.norm(points, axis=2).max(axis=0)
-    unital = is_unital(system.dissipator)
-    nested = None
-    if unital:
-        nested = bool(np.all(np.diff(max_norms) <= 1e-10)
-                      and max_increase <= 1e-10)
-    return ReachableResult(grid=grid, points=points, max_norms=max_norms,
-                           max_norm_increase=max_increase, unital=unital,
-                           nested_balls_ok=nested)
+    return max_increase

@@ -77,22 +77,38 @@ class ControlSystem:
         return self.hamiltonian + self.dissipator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieClosure:
     """Result of the bracket-closure computation.
 
-    basis is orthonormal in the flattened-entry inner product on homogeneous
-    matrices.  generations counts the bracket rounds that produced at least
-    one new element; converged is False only if the generation budget ran
-    out while new elements were still appearing.
+    rows is a read-only (dim, (n+1)^2) array of flattened homogeneous
+    matrices, orthonormal in the flattened-entry inner product; basis
+    builds them as a tuple of AffineGenerators on each access.  generations
+    counts the bracket rounds that produced at least one new element;
+    converged is False only if the generation budget ran out while new
+    elements were still appearing.  features is (p, q, has_trace) at the
+    closure's tol, as described in classify, and classification is the
+    label they give (None when not converged).  Instances compare by
+    identity.
     """
 
-    basis: tuple
-    dim: int
+    rows: np.ndarray
     generations: int
     converged: bool
     classification: Optional[str]
     n: int
+    features: tuple
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    @property
+    def basis(self):
+        m = self.n + 1
+        return tuple(AffineGenerator.from_homogeneous(v.reshape(m, m),
+                                                      tol=np.inf)
+                     for v in self.rows)
 
 
 def _bracket_closure(seeds, commutator, max_dim, tol, max_generations):
@@ -155,9 +171,10 @@ def closure(generators, tol=1e-9, max_generations=8):
     Starting from the given generators, repeatedly brackets all pairs
     involving at least one element new in the previous round, keeping a
     bracket when its norm and its unit-normalized residual against the
-    current orthonormal basis both exceed tol.  Stops when a full round adds nothing
-    or after max_generations productive rounds.  tol also decides the
-    classification.
+    current orthonormal basis both exceed tol.  Stops when a full round
+    adds nothing or after max_generations productive rounds.  The members
+    stay one array of rows; tol also decides the features, computed once
+    here, and the classification.
     """
     generators = list(generators)
     if not generators:
@@ -177,27 +194,29 @@ def closure(generators, tol=1e-9, max_generations=8):
         seeds, commutator, n * n + n, tol, max_generations)
     if not len(rows):
         raise ValueError("all generators are numerically zero")
-    members = tuple(AffineGenerator.from_homogeneous(v.reshape(m, m),
-                                                     tol=np.inf)
-                    for v in rows)
-    label = _label(members, n, tol) if converged else None
-    return LieClosure(basis=members, dim=len(members),
-                      generations=generations, converged=converged,
-                      classification=label, n=n)
+    rows.flags.writeable = False
+    stack = rows.reshape(-1, m, m)
+    features = _features(stack, tol)
+    label = _label(stack, features, tol) if converged else None
+    return LieClosure(rows=rows, generations=generations, converged=converged,
+                      classification=label, n=n, features=features)
 
 
-def _features(members, n, tol):
-    """(p, q, has_trace): linear-projection dim, translation dim, trace test."""
-    linear_parts = np.array([g.linear.ravel() for g in members])
-    p = int(np.linalg.matrix_rank(linear_parts, tol=tol))
-    q = len(members) - p
-    traces = np.array([np.trace(g.linear) for g in members])
-    has_trace = bool(np.linalg.norm(traces) > tol)
-    return p, q, has_trace
+def _features(stack, tol):
+    """(p, q, has_trace) of a (dim, n+1, n+1) stack of homogeneous rows.
+
+    p is the rank of the linear parts, q = dim - p the translation
+    dimension, and has_trace tests the norm of the traces against tol.
+    """
+    linear = stack[:, 1:, 1:]
+    p = int(np.linalg.matrix_rank(linear.reshape(len(stack), -1), tol=tol))
+    traces = np.trace(linear, axis1=1, axis2=2)
+    return p, len(stack) - p, bool(np.linalg.norm(traces) > tol)
 
 
-def _label(members, n, tol):
-    p, q, has_trace = _features(members, n, tol)
+def _label(stack, features, tol):
+    p, q, has_trace = features
+    n = stack.shape[1] - 1
 
     if q == 0:
         suffix = ""
@@ -207,13 +226,12 @@ def _label(members, n, tol):
         return "other"
 
     def max_sym_defect(remove_trace):
-        worst = 0.0
-        for g in members:
-            sym = 0.5 * (g.linear + g.linear.T)
-            if remove_trace:
-                sym = sym - (np.trace(sym) / n) * np.eye(n)
-            worst = max(worst, float(np.max(np.abs(sym))))
-        return worst
+        linear = stack[:, 1:, 1:]
+        sym = 0.5 * (linear + linear.transpose(0, 2, 1))
+        if remove_trace:
+            traces = np.trace(sym, axis1=1, axis2=2)
+            sym = sym - (traces / n)[:, None, None] * np.eye(n)
+        return float(np.max(np.abs(sym)))
 
     if p == n * n and has_trace:
         base = "gl(n)"
@@ -231,13 +249,14 @@ def _label(members, n, tol):
     return base + suffix
 
 
-def classify(c, n=None, tol=1e-9):
+def classify(c, tol=1e-9):
     """Label the closure by its linear and translational content.
 
     Three features decide the label: the dimension p of the projection onto
     linear parts, the dimension q of the intersection with pure
     translations, and whether the trace functional is nonzero on the span.
-    Labels are drawn from
+    They are computed afresh from c.rows at this tol, which may differ from
+    the tol the closure was built with.  Labels are drawn from
 
         ad_su, ad_su + span(I), sl(n), gl(n),
 
@@ -248,7 +267,8 @@ def classify(c, n=None, tol=1e-9):
     """
     if not c.converged:
         raise ValueError("cannot classify an unconverged closure")
-    return _label(c.basis, c.n if n is None else n, tol)
+    stack = c.rows.reshape(-1, c.n + 1, c.n + 1)
+    return _label(stack, _features(stack, tol), tol)
 
 
 class AccessibilityReport(NamedTuple):
@@ -265,11 +285,12 @@ def accessibility(system, tol=1e-9, max_generations=8):
 
     The system is accessible iff the closure is gl(n) or gl(n) x R^n.
     accessible is None (unknown) when the closure ran out of its generation
-    budget.
+    budget.  The features are the ones the closure computed at the same
+    tol, so no rank is taken twice.
     """
     c = closure([system.drift, *system.controls], tol=tol,
                 max_generations=max_generations)
-    p, q, has_trace = _features(c.basis, c.n, tol)
+    p, q, has_trace = c.features
     features = {
         "linear_dim": p,
         "translation_dim": q,

@@ -179,6 +179,57 @@ def affine_lie_dim(generators, tol=1e-9):
         rounds += 1
 
 
+def closure_features(members, n, tol):
+    """(p, q, has_trace) of a closure basis, one AffineGenerator at a time.
+
+    p is the rank of the stacked linear parts, q = len(members) - p, and
+    has_trace tests the norm of the vector of traces against tol.  Reads
+    the generator objects, where liealg reads one stacked array of rows.
+    """
+    linear_parts = np.array([g.linear.ravel() for g in members])
+    p = int(np.linalg.matrix_rank(linear_parts, tol=tol))
+    q = len(members) - p
+    traces = np.array([np.trace(g.linear) for g in members])
+    has_trace = bool(np.linalg.norm(traces) > tol)
+    return p, q, has_trace
+
+
+def closure_label(members, n, tol):
+    """Taxonomy label of a closure basis, with a per-member symmetry loop."""
+    p, q, has_trace = closure_features(members, n, tol)
+
+    if q == 0:
+        suffix = ""
+    elif q == n:
+        suffix = " x R^n"
+    else:
+        return "other"
+
+    def max_sym_defect(remove_trace):
+        worst = 0.0
+        for g in members:
+            sym = 0.5 * (g.linear + g.linear.T)
+            if remove_trace:
+                sym = sym - (np.trace(sym) / n) * np.eye(n)
+            worst = max(worst, float(np.max(np.abs(sym))))
+        return worst
+
+    if p == n * n and has_trace:
+        base = "gl(n)"
+    elif p == n * n - 1 and not has_trace:
+        base = "sl(n)"
+    elif p == n and not has_trace and max_sym_defect(False) <= tol:
+        base = "ad_su"
+    elif p == n + 1 and has_trace and max_sym_defect(True) <= tol:
+        base = "ad_su + span(I)"
+    else:
+        return "other"
+
+    if base in ("ad_su", "ad_su + span(I)") and suffix:
+        return "(%s)%s" % (base, suffix)
+    return base + suffix
+
+
 def sample_reachable_loop(system, rho_init, horizon, num_samples=500, seed=0,
                           control_bound=10.0, grid_points=11):
     """(points, max_norm_increase) of sample_reachable, one sample at a time.

@@ -1,5 +1,7 @@
 """Flows: exact relaxation curves, volume law, purity rate, sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from lindbladctl import (BallExitError, CoherenceVector, GksMatrix,
                         assemble_dissipator, determinant_check,
                         gellmann_basis, preset, propagate, purity,
                         purity_rate, sample_reachable)
-from lindbladctl.dynamics import expm
+from lindbladctl.dynamics import _SAMPLE_BLOCK, expm
 
 
 def test_piecewise_control_validation():
@@ -222,6 +224,34 @@ def test_sample_reachable_matches_sample_at_a_time_loop(name):
             max_norms = np.linalg.norm(points, axis=2).max(axis=0)
             assert result.nested_balls_ok == bool(
                 np.all(np.diff(max_norms) <= 1e-10) and max_increase <= 1e-10)
+
+
+def test_sample_reachable_blocks_match_sample_at_a_time_loop():
+    system = preset("amplitude_damping", gamma=0.7, h03=0.3)
+    v0 = CoherenceVector(2, [0.3, -0.2, 0.4])
+    num = _SAMPLE_BLOCK + 100
+    result = sample_reachable(system, v0, 1.5, num_samples=num, seed=21)
+    points, max_increase = sample_reachable_loop(system, v0, 1.5,
+                                                 num_samples=num, seed=21)
+    np.testing.assert_allclose(result.points, points, rtol=0, atol=1e-12)
+    assert result.max_norm_increase == pytest.approx(max_increase,
+                                                     rel=0, abs=1e-12)
+    prefix = sample_reachable(system, v0, 1.5, num_samples=300, seed=21)
+    np.testing.assert_array_equal(result.points[:300], prefix.points)
+
+
+def test_sample_reachable_memory_is_bounded_by_the_block():
+    # the working set is one block of (S, N^2, N^2) stacks, not all samples
+    system = preset("phase_flip", gamma=0.5)
+    v0 = CoherenceVector(2, [0.3, 0.0, 0.4])
+    tracemalloc.start()
+    try:
+        result = sample_reachable(system, v0, 1.0,
+                                  num_samples=3 * _SAMPLE_BLOCK, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < result.points.nbytes + 4e6, peak
 
 
 def test_sample_reachable_raises_ball_exit_for_inadmissible_system():

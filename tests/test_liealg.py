@@ -1,15 +1,18 @@
 """Lie closure, classification, certificates, and the bracket table."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from _oracles import (affine_lie_dim, matrix_lie_dim, random_psd,
-                      two_level_system)
-from lindbladctl import (ACCESSIBLE_LABELS, AffineGenerator, ControlSystem,
-                        GksMatrix, accessibility, adjoint_generator,
-                        assemble_dissipator, bracket, classify, closure,
-                        gellmann_basis, hamiltonian_controllability,
-                        m_matrix, noncontrollability_certificates, preset,
+from _oracles import (affine_lie_dim, closure_features, closure_label,
+                      matrix_lie_dim, random_psd, two_level_system)
+from lindbladctl import (ACCESSIBLE_LABELS, PRESET_NAMES, AffineGenerator,
+                        ControlSystem, GksMatrix, accessibility,
+                        adjoint_generator, assemble_dissipator, bracket,
+                        classify, closure, gellmann_basis,
+                        hamiltonian_controllability, liealg, m_matrix,
+                        noncontrollability_certificates, preset,
                         verify_structure_constants)
 from lindbladctl.cli import (TAXONOMY_CASES, SystemDocument,
                              _two_level_system)
@@ -102,11 +105,11 @@ def test_one_tolerance_for_acceptance_features_and_label():
     assert accessibility(system).classification == "gl(n)"
 
 
-def _random_n3_system(rng):
-    basis = gellmann_basis(3)
+def _random_system(rng, N=3):
+    basis = gellmann_basis(N)
     gks = GksMatrix(random_psd(rng, basis.n))
     return ControlSystem(
-        N=3, hamiltonian=adjoint_generator(basis, rng.normal(size=basis.n)),
+        N=N, hamiltonian=adjoint_generator(basis, rng.normal(size=basis.n)),
         controls=tuple(adjoint_generator(basis, rng.normal(size=basis.n))
                        for _ in range(2)),
         dissipator=assemble_dissipator(gks, basis), gks=gks)
@@ -119,11 +122,16 @@ def test_closure_dim_matches_affine_oracle():
     systems += [_two_level_system(params) for _, params, _, _ in
                 TAXONOMY_CASES]
     rng = np.random.default_rng(31)
-    randoms = [_random_n3_system(rng) for _ in range(3)]
+    randoms = [_random_system(rng) for _ in range(3)]
     for system in systems + randoms:
         gens = [system.drift, *system.controls]
         assert closure(gens).dim == affine_lie_dim(gens)[0]
     assert [closure([s.drift, *s.controls]).dim for s in randoms] == [72] * 3
+
+
+#: (gamma, h03) cells of the preset documents the closure tests sweep.
+PRESET_GRID = [(gamma, h03) for gamma in (0.2, 0.7, 1.3, 2.0)
+               for h03 in (0.3, -0.3, -0.9, 0.7)]
 
 
 @pytest.mark.parametrize("name, expected", [("amplitude_damping", (12, 4)),
@@ -132,14 +140,13 @@ def test_closure_matches_oracle_rounds_on_preset_document_grid(name, expected):
     """A bracket that is zero up to rounding is not a new direction: the
     closure dimension and generation count are the oracle's in every cell
     (the depolarizing channel is never accessible)."""
-    for gamma in (0.2, 0.7, 1.3, 2.0):
-        for h03 in (0.3, -0.3, -0.9, 0.7):
-            system = SystemDocument.from_preset(
-                name, gamma=gamma, h03=h03).to_control_system()
-            gens = [system.drift, *system.controls]
-            c = closure(gens)
-            assert (c.dim, c.generations) == affine_lie_dim(gens) == expected, \
-                (gamma, h03)
+    for gamma, h03 in PRESET_GRID:
+        system = SystemDocument.from_preset(
+            name, gamma=gamma, h03=h03).to_control_system()
+        gens = [system.drift, *system.controls]
+        c = closure(gens)
+        assert (c.dim, c.generations) == affine_lie_dim(gens) == expected, \
+            (gamma, h03)
 
 
 @pytest.mark.parametrize("N", [3, 4])
@@ -158,6 +165,79 @@ def test_accessibility_verdict_is_invariant_under_rate_scaling(N):
                 dissipator=assemble_dissipator(gks, basis), gks=gks))
             verdicts.add((acc.accessible, acc.closure_dim, acc.classification))
         assert len(verdicts) == 1, verdicts
+
+
+def _rate_scaled_systems(N):
+    """The family of the rate-scaling test: full and real A, 1e-3..1e3."""
+    basis = gellmann_basis(N)
+    rng = np.random.default_rng(70 + N)
+    A = random_psd(rng, basis.n)
+    h0, h1, h2 = (adjoint_generator(basis, rng.normal(size=basis.n))
+                  for _ in range(3))
+    for entries in (A, A.real):
+        for exponent in range(-3, 4):
+            gks = GksMatrix(10.0 ** exponent * entries)
+            yield ControlSystem(
+                N=N, hamiltonian=h0, controls=(h1, h2),
+                dissipator=assemble_dissipator(gks, basis), gks=gks)
+
+
+def _oracle_systems(group):
+    if group == "presets":
+        return [SystemDocument.from_preset(name, gamma=gamma, h03=h03)
+                .to_control_system()
+                for name in PRESET_NAMES for gamma, h03 in PRESET_GRID]
+    if group == "taxonomy":
+        return [_two_level_system(params)
+                for _, params, _, _ in TAXONOMY_CASES]
+    if group == "random":
+        rng = np.random.default_rng(32)
+        return ([_random_system(rng, 3) for _ in range(3)]
+                + [_random_system(rng, 4) for _ in range(2)])
+    return [*_rate_scaled_systems(3), *_rate_scaled_systems(4)]
+
+
+@pytest.mark.parametrize("group", ["presets", "taxonomy", "random",
+                                   "rate_scaled"])
+def test_features_and_label_match_per_member_oracle(group, monkeypatch):
+    """The array features and label equal the per-AffineGenerator oracle's,
+    read off the basis that the rows build on demand."""
+    closures = []
+
+    def recording_closure(*args, **kwargs):
+        closures.append(closure(*args, **kwargs))
+        return closures[-1]
+
+    # accessibility resolves closure by its module name; recording it gives
+    # the closure behind each report without computing it twice
+    monkeypatch.setattr(liealg, "closure", recording_closure)
+    labels = set()
+    for system in _oracle_systems(group):
+        acc = accessibility(system)
+        c = closures.pop()
+        members = c.basis
+        assert not c.rows.flags.writeable
+        np.testing.assert_array_equal(
+            np.array([g.homogeneous.ravel() for g in members]), c.rows)
+        p, q, has_trace = closure_features(members, c.n, 1e-9)
+        assert acc.features == {"linear_dim": p, "translation_dim": q,
+                                "has_trace": has_trace}
+        label = closure_label(members, c.n, 1e-9)
+        assert acc.classification == c.classification == classify(c) == label
+        labels.add(label)
+    if group == "taxonomy":
+        assert len(labels) == 7
+
+
+def test_classify_computes_features_at_its_own_tol():
+    cases = _oracle_systems("taxonomy") + _oracle_systems("random")[:1]
+    for system in cases:
+        c = closure([system.drift, *system.controls])
+        # the features cached at the closure's tol are not consulted
+        poisoned = dataclasses.replace(c, features=(0, 0, False))
+        for tol in (1e-12, 1e-9, 1e-6, 1e-3, 0.5):
+            assert classify(poisoned, tol=tol) == closure_label(
+                c.basis, c.n, tol)
 
 
 def test_taxonomy_cases():
