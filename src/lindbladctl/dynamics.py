@@ -40,6 +40,10 @@ _MAX_SEGMENTS = 8
 #: O(_SAMPLE_BLOCK * N^4).
 _SAMPLE_BLOCK = 1024
 
+#: Samples that share one random substream: sample i takes row
+#: i % _DRAW_BLOCK of the draws of default_rng([seed, i // _DRAW_BLOCK]).
+_DRAW_BLOCK = 64
+
 #: Largest 1-norm for which the [13/13] Padé approximant has a backward error
 #: of at most the double-precision unit roundoff (Higham 2005, Table 2.3).
 _THETA_13 = 5.371920351148152
@@ -255,12 +259,17 @@ def sample_reachable(system, rho_init, horizon, num_samples=500, seed=0,
                      control_bound=10.0, grid_points=11):
     """Sample endpoints of random piecewise-constant controlled flows.
 
-    Each sample i draws from an independent substream
-    numpy.random.default_rng([seed, i]): a segment count uniform on 1..8,
-    segment durations as a symmetric Dirichlet split of the horizon, and
-    amplitudes uniform on [-control_bound, control_bound].  States are
-    recorded on a shared uniform time grid, so results are reproducible
-    and independent of sample order.
+    Each sample draws a segment count m uniform on 1..8, segment durations
+    as a uniform (symmetric Dirichlet) split of the horizon, and amplitudes
+    uniform on [-control_bound, control_bound].  The draws come in
+    substreams of _DRAW_BLOCK = 64 samples: numpy.random.default_rng(
+    [seed, i // 64]) makes three fixed-shape draws, integers(1, 9) of shape
+    (64,), standard_exponential of shape (64, 8) and uniform of shape
+    (64, 8, q), and sample i takes row i % 64 of each, truncated to its m
+    segments; its durations are the horizon times the first m exponentials
+    over their sum.  States are recorded on a shared uniform time grid, so
+    results are reproducible, prefix-stable in num_samples and independent
+    of sample order.
 
     Samples advance in blocks of up to _SAMPLE_BLOCK: at each event every
     sample of a block has its step exponentiated in one stacked expm call
@@ -308,17 +317,7 @@ def _sample_block(system, bar0, horizon, grid, seed, samples, control_bound,
     grid_points = len(grid)
     q = len(system.controls)
 
-    # The draws of each sample, from its own substream; segment slots a
-    # sample does not use have bound +inf and zero amplitudes.
-    bounds = np.full((num_samples, _MAX_SEGMENTS), np.inf)
-    amps = np.zeros((num_samples, _MAX_SEGMENTS, q))
-    for b, i in enumerate(samples):
-        rng = np.random.default_rng([seed, i])
-        m = int(rng.integers(1, _MAX_SEGMENTS + 1))
-        durations = horizon * rng.dirichlet(np.ones(m))
-        amps[b, :m] = rng.uniform(-control_bound, control_bound, size=(m, q))
-        bounds[b, :m] = np.cumsum(durations)
-        bounds[b, m - 1] = horizon
+    bounds, amps = _draw_controls(seed, samples, horizon, control_bound, q)
 
     # Row b of the event table is the union of the grid and the segment
     # bounds of sample b up to the horizon, in increasing order, padded at
@@ -369,3 +368,30 @@ def _sample_block(system, bar0, horizon, grid, seed, samples, control_bound,
         hit, j = np.nonzero(grid_col == k)
         points[hit, j + 1] = rho[hit]
     return max_increase
+
+
+def _draw_controls(seed, samples, horizon, control_bound, q):
+    """Segment bounds (S, 8) and amplitudes (S, 8, q) of a range of samples.
+
+    samples may start and stop anywhere inside a substream of _DRAW_BLOCK
+    samples.  Segment slots a sample does not use have bound +inf and zero
+    amplitudes; the last used bound is exactly the horizon.
+    """
+    first = samples.start // _DRAW_BLOCK
+    draws = []
+    for sub in range(first, (samples.stop - 1) // _DRAW_BLOCK + 1):
+        rng = np.random.default_rng([seed, sub])
+        draws.append((
+            rng.integers(1, _MAX_SEGMENTS + 1, size=_DRAW_BLOCK),
+            rng.standard_exponential((_DRAW_BLOCK, _MAX_SEGMENTS)),
+            rng.uniform(-control_bound, control_bound,
+                        size=(_DRAW_BLOCK, _MAX_SEGMENTS, q))))
+    rows = slice(samples.start - first * _DRAW_BLOCK,
+                 samples.stop - first * _DRAW_BLOCK)
+    counts, expo, amps = (np.concatenate(d)[rows] for d in zip(*draws))
+    used = np.arange(_MAX_SEGMENTS) < counts[:, None]
+    amps[~used] = 0.0
+    cum = np.cumsum(np.where(used, expo, 0.0), axis=1)
+    bounds = np.where(used, horizon * cum / cum[:, -1:], np.inf)
+    bounds[np.arange(len(counts)), counts - 1] = horizon
+    return bounds, amps

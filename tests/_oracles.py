@@ -236,8 +236,9 @@ def sample_reachable_loop(system, rho_init, horizon, num_samples=500, seed=0,
 
     One sample after another and one SciPy expm per event, where
     sample_reachable advances all samples together through NumPy expm.  It
-    makes the same draws from the same per-sample substreams, so the two
-    must agree to roundoff.
+    defines the draw law on its own: sample i rebuilds the substream
+    default_rng([seed, i // 64]), makes its three full-shape draws and
+    takes row i % 64 of each, so the two must agree to roundoff.
     """
     from scipy.linalg import expm
 
@@ -250,10 +251,13 @@ def sample_reachable_loop(system, rho_init, horizon, num_samples=500, seed=0,
     drift_h = system.drift.homogeneous
     ctrl_h = [c.homogeneous for c in system.controls]
     for i in range(num_samples):
-        rng = np.random.default_rng([seed, i])
-        m = int(rng.integers(1, 9))
-        durations = horizon * rng.dirichlet(np.ones(m))
-        amps = rng.uniform(-control_bound, control_bound, size=(m, q))
+        rng = np.random.default_rng([seed, i // 64])
+        row = i % 64
+        m = int(rng.integers(1, 9, size=64)[row])
+        e = rng.standard_exponential((64, 8))[row]
+        amps = rng.uniform(-control_bound, control_bound,
+                           size=(64, 8, q))[row, :m]
+        durations = horizon * e[:m] / e[:m].sum()
         bounds = np.cumsum(durations)
         bounds[-1] = horizon
         events = np.union1d(grid[1:], bounds)

@@ -368,6 +368,26 @@ def test_reachable_writes_csv_and_stats(tmp_path):
         == stats_path.read_bytes()
 
 
+def test_reachable_csv_is_prefix_stable_in_samples(tmp_path):
+    doc = _write_preset_doc(tmp_path, "amplitude_damping", gamma=0.7)
+    outputs = {}
+    for tag, samples in (("a", 100), ("b", 200), ("c", 200)):
+        base = tmp_path / tag
+        assert main(["reachable", str(doc), "--rho0", "0.3,-0.2,0.4",
+                     "--samples", str(samples), "--seed", "5",
+                     "--out", str(base)]) == 0
+        outputs[tag] = ((tmp_path / (tag + ".csv")).read_bytes(),
+                        (tmp_path / (tag + ".stats.json")).read_bytes())
+    short = outputs["a"][0].split(b"\n")
+    long = outputs["b"][0].split(b"\n")
+    # header plus 100 samples of 11 grid points
+    assert len(short) == 1 + 100 * 11 + 1 and short[-1] == b""
+    assert len(long) == 1 + 200 * 11 + 1
+    assert long[:1 + 100 * 11] == short[:-1]
+    # reruns are byte-identical
+    assert outputs["c"] == outputs["b"]
+
+
 def test_verify_command(tmp_path, capsys):
     out = tmp_path / "verify.json"
     code = main(["verify", "--out", str(out)])

@@ -14,7 +14,8 @@ from lindbladctl import (BallExitError, CoherenceVector, GksMatrix,
                         assemble_dissipator, determinant_check,
                         gellmann_basis, preset, propagate, purity,
                         purity_rate, sample_reachable)
-from lindbladctl.dynamics import _SAMPLE_BLOCK, expm
+from lindbladctl import dynamics
+from lindbladctl.dynamics import _SAMPLE_BLOCK, _draw_controls, expm
 
 
 def test_piecewise_control_validation():
@@ -238,6 +239,107 @@ def test_sample_reachable_blocks_match_sample_at_a_time_loop():
                                                      rel=0, abs=1e-12)
     prefix = sample_reachable(system, v0, 1.5, num_samples=300, seed=21)
     np.testing.assert_array_equal(result.points[:300], prefix.points)
+
+
+#: Draws of seed 0 (horizon 1.5, control_bound 10, three controls) for
+#: samples 0, 1, 63 and 64: the last and first rows of substreams 0 and 1.
+_DRAW_LAW = {
+    0: ([0.03934011214738203, 0.2676765950102357, 0.3681586208006033,
+         0.5276916477531657, 0.723443076983134, 0.9534364558171196, 1.5],
+        [[-8.47121958163566, 0.6846204720748119, -6.685376960954557],
+         [6.143358601869796, -9.547789389062398, -2.5078605653028463],
+         [-0.5359205722286227, -5.66943398646351, -2.8818756096541893],
+         [-5.544171289430957, -4.363437873305484, 8.537421214571829],
+         [-1.656492673803477, -2.2827011747855996, 2.2234890486834846],
+         [3.282837134970112, 3.205530898553695, -8.304820655519723],
+         [1.6380515806937836, 4.7184719979595116, 5.9113673228689905]]),
+    1: ([0.34501017919117655, 0.6096247860459068, 1.0563736734029618,
+         1.1973599166562536, 1.3076754015792003, 1.5],
+        [[-3.5389261378836423, 8.551176189319253, -0.5476494233303519],
+         [7.909478142952963, -0.8065009344595016, 5.10236213120254],
+         [-0.29745648620719223, 4.174045228647676, -3.6564144666564076],
+         [7.797305272734075, -4.685838625268337, -9.876463424314437],
+         [4.42331572233684, 3.5320892648915923, 3.1380289985135423],
+         [3.7483000462665306, 1.7252842203696623, -7.694420938429712]]),
+    63: ([0.15541977569324883, 0.8234231842796335, 1.0945229342763008, 1.5],
+         [[-3.1426725313586594, -6.26764556847543, 4.8974449924597785],
+          [2.7711981882663608, 0.1028681296664189, -9.672509935855913],
+          [9.32184504714434, -9.730649201472396, 0.5489903819064228],
+          [-1.3671125095443557, -4.7621147564492805, 7.799941830329221]]),
+    64: ([0.2784005959182866, 1.3232186785880158, 1.4464993652487974,
+          1.451167636956298, 1.5],
+         [[-2.9828428048673743, 3.7924816481411945, -3.046774949990512],
+          [0.8849054069559195, 1.0738718667666234, 7.573475856079668],
+          [-3.859612618126045, -1.4905159388486648, 2.3867759386830727],
+          [6.529993096440748, -1.8765085647247126, -1.5882146352026734],
+          [-1.7693859203108726, 5.516916094171853, 6.919344794917254]]),
+}
+
+
+def test_draw_law_literal_values():
+    # any change to the substream scheme changes these values
+    for i, (bounds, amps) in _DRAW_LAW.items():
+        got_bounds, got_amps = _draw_controls(0, range(i, i + 1), 1.5, 10.0,
+                                              3)
+        m = len(bounds)
+        assert np.sum(np.isfinite(got_bounds[0])) == m
+        np.testing.assert_allclose(got_bounds[0, :m], bounds, rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_array_equal(got_amps[0, :m], amps)
+    # the same rows from one draw over both substreams
+    bounds, amps = _draw_controls(0, range(0, 65), 1.5, 10.0, 3)
+    for i, (want_bounds, want_amps) in _DRAW_LAW.items():
+        m = len(want_bounds)
+        np.testing.assert_allclose(bounds[i, :m], want_bounds, rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_array_equal(amps[i, :m], want_amps)
+
+
+def test_sample_reachable_prefixes_across_substream_edges(monkeypatch):
+    system = preset("amplitude_damping", gamma=0.7, h03=0.3)
+    v0 = CoherenceVector(2, [0.3, -0.2, 0.4])
+    full = sample_reachable(system, v0, 1.5, num_samples=200, seed=6)
+    for num in (1, 63, 64, 65):
+        run = sample_reachable(system, v0, 1.5, num_samples=num, seed=6)
+        np.testing.assert_array_equal(run.points, full.points[:num])
+    # a block that starts and ends inside substreams
+    points = np.empty((150 - 37,) + full.points.shape[1:])
+    dynamics._sample_block(system, v0.bar, 1.5, full.grid, 6, range(37, 150),
+                           10.0, points)
+    np.testing.assert_array_equal(points, full.points[37:150])
+    bounds, amps = _draw_controls(6, range(0, 200), 1.5, 10.0, 3)
+    mid_bounds, mid_amps = _draw_controls(6, range(37, 150), 1.5, 10.0, 3)
+    np.testing.assert_array_equal(mid_bounds, bounds[37:150])
+    np.testing.assert_array_equal(mid_amps, amps[37:150])
+    # sample blocks that are not a multiple of the substream size
+    monkeypatch.setattr(dynamics, "_SAMPLE_BLOCK", 50)
+    run = sample_reachable(system, v0, 1.5, num_samples=200, seed=6)
+    np.testing.assert_array_equal(run.points, full.points)
+    assert run.max_norm_increase == full.max_norm_increase
+
+
+def test_draw_law_sanity():
+    horizon, bound = 1.5, 10.0
+    bounds, amps = _draw_controls(11, range(64 * 50), horizon, bound, 3)
+    counts = np.sum(np.isfinite(bounds), axis=1)
+    used = np.arange(8) < counts[:, None]
+    # segment counts uniform on 1..8: each share within 0.03 of 1/8
+    # (about five standard deviations at 3200 samples)
+    share = np.bincount(counts, minlength=9)[1:] / len(counts)
+    assert np.all(np.abs(share - 1.0 / 8.0) < 0.03), share
+    # used bounds increase strictly and the last is exactly the horizon
+    assert np.all((bounds[:, 1:] > bounds[:, :-1])[used[:, 1:]])
+    assert np.all(bounds[np.arange(len(counts)), counts - 1] == horizon)
+    assert np.all(bounds[used] > 0.0)
+    # unused slots: bound +inf, amplitudes zero
+    assert np.all(bounds[~used] == np.inf)
+    assert np.all(amps[~used] == 0.0)
+    assert np.all(np.abs(amps) <= bound)
+    # a uniform split of the horizon: the first segment has mean horizon / m
+    # (within 0.05 · horizon, above three standard deviations)
+    for m in range(1, 9):
+        mean = np.mean(bounds[counts == m, 0]) / horizon
+        assert abs(mean - 1.0 / m) < 0.05, (m, mean)
 
 
 def test_sample_reachable_memory_is_bounded_by_the_block():
