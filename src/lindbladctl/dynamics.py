@@ -346,27 +346,30 @@ def _sample_block(system, bar0, horizon, grid, seed, samples, control_bound,
     ctrl_h = [c.homogeneous for c in system.controls]
     radius2 = 1.0 - 1.0 / system.N
     points[:, 0] = bar0[1:]
-    g = np.eye(len(bar0))
-    prev_norm = np.linalg.norm(bar0[1:])
+    g = np.tile(np.eye(len(bar0)), (num_samples, 1, 1))
+    nrm = np.full(num_samples, np.linalg.norm(bar0[1:]))
     max_increase = 0.0
     for k in range(events.shape[1]):
-        gen = np.repeat(drift_h[None], num_samples, axis=0)
-        for a, ch in zip(seg_amps[:, k].T, ctrl_h):
+        # Only samples with a real step move: a padded step would multiply
+        # by expm(0) = I exactly and leave the state as it is.
+        act = np.flatnonzero(dt[:, k] > 0.0)
+        gen = np.repeat(drift_h[None], len(act), axis=0)
+        for a, ch in zip(seg_amps[act, k].T, ctrl_h):
             gen += a[:, None, None] * ch
-        g = np.matmul(expm(gen * dt[:, k, None, None]), g)
-        rho = (g @ bar0)[:, 1:]
+        g[act] = np.matmul(expm(gen * dt[act, k][:, None, None]), g[act])
+        rho = (g[act] @ bar0)[:, 1:]
         sq = np.einsum("ij,ij->i", rho, rho)
         out = np.flatnonzero(sq - radius2 > BALL_EXIT_TOL)
         if out.size:
-            b = out[0]
+            b = act[out[0]]
             raise _ball_exit_error("sample %d, t=%.6g"
                                    % (samples[b], events[b, k]),
-                                   sq[b] - radius2)
-        nrm = np.sqrt(sq)
-        max_increase = max(max_increase, float(np.max(nrm - prev_norm)))
-        prev_norm = nrm
-        hit, j = np.nonzero(grid_col == k)
-        points[hit, j + 1] = rho[hit]
+                                   sq[out[0]] - radius2)
+        prev_norm = nrm[act]
+        nrm[act] = np.sqrt(sq)
+        max_increase = max(max_increase, float(np.max(nrm[act] - prev_norm)))
+        hit, j = np.nonzero(grid_col[act] == k)
+        points[act[hit], j + 1] = rho[hit]
     return max_increase
 
 
