@@ -265,15 +265,17 @@ def sample_reachable(system, rho_init, horizon, num_samples=500, seed=0,
     substreams of _DRAW_BLOCK = 64 samples: numpy.random.default_rng(
     [seed, i // 64]) makes three fixed-shape draws, integers(1, 9) of shape
     (64,), standard_exponential of shape (64, 8) and uniform of shape
-    (64, 8, q), and sample i takes row i % 64 of each, truncated to its m
-    segments; its durations are the horizon times the first m exponentials
-    over their sum.  States are recorded on a shared uniform time grid, so
-    results are reproducible, prefix-stable in num_samples and independent
-    of sample order.
+    (64, 8, q) for q controls, and sample i takes row i % 64 of each,
+    truncated to its m segments; its durations are the horizon times the
+    first m exponentials over their sum.  States are recorded on a shared
+    uniform time grid, so results are reproducible, prefix-stable in
+    num_samples and independent of sample order.
 
     Samples advance in blocks of up to _SAMPLE_BLOCK: at each event every
-    sample of a block has its step exponentiated in one stacked expm call
-    and multiplied into its propagator.  Memory is O(_SAMPLE_BLOCK * N^4)
+    sample of a block that still has a step to take has it exponentiated in
+    one stacked expm call and multiplied into its propagator; the dt = 0
+    steps that pad samples with fewer events are skipped, which changes no
+    bit since expm(0) is exactly I.  Memory is O(_SAMPLE_BLOCK * N^4)
     beyond the returned points.  Raises BallExitError, naming a sample and
     a time, if a state leaves the ball by more than BALL_EXIT_TOL.
     """
@@ -365,9 +367,9 @@ def _sample_block(system, bar0, horizon, grid, seed, samples, control_bound,
             raise _ball_exit_error("sample %d, t=%.6g"
                                    % (samples[b], events[b, k]),
                                    sq[out[0]] - radius2)
-        prev_norm = nrm[act]
-        nrm[act] = np.sqrt(sq)
-        max_increase = max(max_increase, float(np.max(nrm[act] - prev_norm)))
+        new = np.sqrt(sq)
+        max_increase = max(max_increase, float(np.max(new - nrm[act])))
+        nrm[act] = new
         hit, j = np.nonzero(grid_col[act] == k)
         points[act[hit], j + 1] = rho[hit]
     return max_increase
