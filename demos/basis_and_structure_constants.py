@@ -27,12 +27,13 @@ for j, lam in enumerate(basis.lambdas, start=1):
 
 print(f"\nf_123 = {basis.f[0, 1, 2]:.12f}  (sqrt(2) = {np.sqrt(2):.12f})")
 
-# structure_tensors recomputes both tensors from the matrices; it agrees
-# with the cached copies stored on the basis object.
+# structure_tensors computes both tensors from the matrices.  Its f agrees
+# with the copy stored on the basis object; d is not stored.  For the
+# qubit d vanishes, since Pauli matrices anticommute to multiples of I.
 
 f, d = structure_tensors(basis)
-print(f"recomputed f deviates by {np.max(np.abs(f - basis.f)):.3g}, "
-      f"d by {np.max(np.abs(d - basis.d)):.3g}")
+print(f"recomputed f deviates by {np.max(np.abs(f - basis.f)):.3g}; "
+      f"max |d| = {np.max(np.abs(d)):.3g}")
 
 # A Hamiltonian with coefficient vector h rotates the coherence vector
 # through the adjoint generator sum_l h_l f_l.  For h along the third

@@ -14,6 +14,7 @@ liealg      Lie closure, classification, accessibility, certificates
 dynamics    piecewise-constant flows, determinant law, reachable sampling
 channels    two-level presets and the twelve elementary generators
 cli         system documents, deterministic reports, command line
+selfcheck   the built-in checks that `lindbladctl verify` runs
 """
 
 from .affine import AffineGenerator, bracket
@@ -21,9 +22,9 @@ from .su_basis import (HermitianBasis, gellmann_basis, structure_tensors,
                        adjoint_generator)
 from .states import (CoherenceVector, to_coherence, from_coherence, purity,
                      is_physical)
-from .dissipator import (GksMatrix, build_Ljk, build_vjk,
-                         assemble_dissipator, check_psd, check_minors_2level,
-                         two_level_gks, is_unital, split_trace, fixed_point)
+from .dissipator import (GksMatrix, assemble_dissipator, check_psd,
+                         check_minors_2level, two_level_gks, is_unital,
+                         split_trace, fixed_point)
 from .liealg import (ControlSystem, LieClosure, closure, classify,
                      accessibility, noncontrollability_certificates,
                      hamiltonian_controllability, verify_structure_constants,
@@ -43,7 +44,7 @@ __all__ = [
     "adjoint_generator",
     "CoherenceVector", "to_coherence", "from_coherence", "purity",
     "is_physical",
-    "GksMatrix", "build_Ljk", "build_vjk", "assemble_dissipator",
+    "GksMatrix", "assemble_dissipator",
     "check_psd", "check_minors_2level", "two_level_gks", "is_unital",
     "split_trace", "fixed_point",
     "ControlSystem", "LieClosure", "closure", "classify", "accessibility",

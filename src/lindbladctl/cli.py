@@ -25,14 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import PRESET_NAMES, ChannelPreset, preset
-from .dissipator import (GksMatrix, _scaled_tol, assemble_dissipator,
-                         check_psd, fixed_point, is_unital, split_trace)
+from .channels import PRESET_NAMES, ChannelPreset
+from .dissipator import (GksMatrix, assemble_dissipator, check_psd,
+                         fixed_point, is_unital, split_trace)
 from .dynamics import (BallExitError, PiecewiseControl, propagate,
                        sample_reachable)
 from .liealg import (ControlSystem, accessibility,
                      noncontrollability_certificates,
-                     hamiltonian_controllability, verify_structure_constants)
+                     hamiltonian_controllability)
 from .states import CoherenceVector, is_physical, purity
 from .su_basis import adjoint_generator, gellmann_basis
 
@@ -212,15 +212,7 @@ class SystemDocument:
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise CliParseError("field '%s': expected an %d x %d matrix"
                                     % (name, n, n))
-        ar = np.array(self.a_real)
-        ai = np.array(self.a_imag)
-        tol = _scaled_tol(ar + 1.0j * ai)
-        if np.max(np.abs(ar - ar.T)) > tol:
-            raise CliParseError("field 'A_real': must be symmetric to "
-                                "1e-12 * max(1, max|A|)")
-        if ai.size and np.max(np.abs(ai + ai.T)) > tol:
-            raise CliParseError("field 'A_imag': must be antisymmetric to "
-                                "1e-12 * max(1, max|A|)")
+        GksMatrix.from_real_imag(self.a_real, self.a_imag)
 
     @classmethod
     def from_dict(cls, data):
@@ -555,205 +547,11 @@ def cmd_preset(name, gamma=1.0, h03=0.0, out=None):
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Self-check suite
-
-#: Representative coefficient families of the two-level taxonomy:
-#: (name, (a4..a12), expected closure dim, expected label).  The closure is
-#: generated by the dissipator together with the three rotation controls.
-TAXONOMY_CASES = (
-    ("traceless_real_offdiag", (0.3, 0.0, 0.2, 0.0, 0.5, 0.0, 1.0, -0.4, -0.6),
-     8, "sl(n)"),
-    ("traceful_real_offdiag", (0.3, 0.0, 0.2, 0.0, 0.5, 0.0, 1.0, 0.4, 0.2),
-     9, "gl(n)"),
-    ("pure_translation", (0.0, 0.4, 0.0, -0.3, 0.0, 0.25, 0.0, 0.0, 0.0),
-     6, "(ad_su) x R^n"),
-    ("traceless_generic", (0.3, 0.15, 0.2, -0.1, 0.5, 0.05, 1.0, -0.4, -0.6),
-     11, "sl(n) x R^n"),
-    ("traceful_generic", (0.3, 0.15, 0.2, -0.1, 0.5, 0.05, 1.0, 0.5, 0.7),
-     12, "gl(n) x R^n"),
-    ("isotropic_diagonal", (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.8, 0.8, 0.8),
-     4, "ad_su + span(I)"),
-    ("isotropic_with_translation", (0.0, 0.3, 0.0, 0.2, 0.0, -0.4, 0.8, 0.8, 0.8),
-     7, "(ad_su + span(I)) x R^n"),
-)
-
-
-def _two_level_system(params9, h0=(0.0, 0.0, 0.0)):
-    """ControlSystem with full rotation controls from nine GKS parameters."""
-    from .dissipator import two_level_gks
-
-    return _two_level_system_from_gks(two_level_gks(params9).entries, h0=h0)
-
-
-def _check_structure_constants():
-    r = verify_structure_constants()
-    if r.ok:
-        return True, ("%d pairs, %d coefficients match the table"
-                      % (r.pairs_checked, r.coefficients_checked))
-    items = "; ".join("(%d,%d,%d) expected %.17g computed %.17g" % m
-                      for m in r.mismatches)
-    return False, ("%d of %d coefficients disagree with the table: %s"
-                   % (len(r.mismatches), r.coefficients_checked, items))
-
-
-def _check_gks_symmetry():
-    from .dissipator import build_Ljk
-
-    worst = 0.0
-    for N in (2, 3, 4):
-        basis = gellmann_basis(N)
-        for j in range(1, basis.n + 1):
-            for k in range(j, basis.n + 1):
-                dev = np.max(np.abs(build_Ljk(basis, k, j)
-                                    - build_Ljk(basis, j, k).conj()))
-                worst = max(worst, float(dev))
-    ok = worst <= 1e-12
-    return ok, "max |L_kj - conj(L_jk)| = %.3e over N in {2, 3, 4}" % worst
-
-
-def _check_dissipator_real():
-    rng = np.random.default_rng(20240817)
-    count = 0
-    for N in (2, 3, 4):
-        basis = gellmann_basis(N)
-        for _ in range(5):
-            b = rng.normal(size=(basis.n, basis.n)) \
-                + 1.0j * rng.normal(size=(basis.n, basis.n))
-            assemble_dissipator(GksMatrix(b + b.conj().T), basis)
-            count += 1
-    return True, ("%d random Hermitian coefficient matrices assembled to "
-                  "real generators" % count)
-
-
-def _check_generator_table():
-    from .channels import m_matrix
-
-    basis = gellmann_basis(2)
-    cases = []
-    pairs = {(1, 2): (4, 5), (1, 3): (6, 7), (2, 3): (8, 9)}
-    for (j, k), (m_re, m_im) in pairs.items():
-        a = np.zeros((3, 3), dtype=complex)
-        a[j - 1, k - 1] = 1.0
-        a[k - 1, j - 1] = 1.0
-        cases.append((m_matrix(m_re), a))
-        a = np.zeros((3, 3), dtype=complex)
-        a[j - 1, k - 1] = 1.0j
-        a[k - 1, j - 1] = -1.0j
-        cases.append((m_matrix(m_im), a))
-    for d, m_d in ((1, 10), (2, 11), (3, 12)):
-        a = np.zeros((3, 3), dtype=complex)
-        a[d - 1, d - 1] = 1.0
-        cases.append((m_matrix(m_d), a))
-    worst = 0.0
-    for expected, a in cases:
-        got = assemble_dissipator(GksMatrix(a), basis)
-        worst = max(worst, float(np.max(np.abs(got.homogeneous
-                                               - expected.homogeneous))))
-    ok = worst <= 1e-12
-    return ok, ("single-coefficient assemblies reproduce the stored "
-                "generator matrices, max deviation %.3e" % worst)
-
-
-def _check_taxonomy():
-    failures = []
-    for name, params, dim, label in TAXONOMY_CASES:
-        acc = accessibility(_two_level_system(params))
-        if acc.closure_dim != dim or acc.classification != label:
-            failures.append("%s: got dim %d label %r, expected dim %d "
-                            "label %r" % (name, acc.closure_dim,
-                                          acc.classification, dim, label))
-    if failures:
-        return False, "; ".join(failures)
-    return True, "%d coefficient families classified as expected" \
-        % len(TAXONOMY_CASES)
-
-
-def _check_determinant_law():
-    from .dynamics import determinant_check
-
-    rng = np.random.default_rng(20240818)
-    worst = 0.0
-    for _ in range(3):
-        b = rng.normal(size=(3, 3)) + 1.0j * rng.normal(size=(3, 3))
-        system = _two_level_system_from_gks((b @ b.conj().T) / 3.0,
-                                            h0=rng.normal(size=3) * 0.5)
-        segs = tuple((0.25, rng.uniform(-2.0, 2.0, size=3)) for _ in range(4))
-        traj = propagate(system, PiecewiseControl(segs),
-                         CoherenceVector(2, rng.normal(size=3) * 0.3))
-        worst = max(worst, determinant_check(traj, system))
-    ok = worst <= 1e-8
-    return ok, ("max |det g(t) - exp(tr t)| = %.3e over random admissible "
-                "systems" % worst)
-
-
-def _two_level_system_from_gks(entries, h0=(0.0, 0.0, 0.0)):
-    basis = gellmann_basis(2)
-    gks = GksMatrix(entries)
-    s = 1.0 / np.sqrt(2.0)
-    controls = tuple(adjoint_generator(basis, s * np.eye(3)[k])
-                     for k in range(3))
-    return ControlSystem(
-        N=2,
-        hamiltonian=adjoint_generator(basis, np.asarray(h0, dtype=float)),
-        controls=controls,
-        dissipator=assemble_dissipator(gks, basis),
-        gks=gks,
-        admissible=check_psd(gks).is_psd,
-    )
-
-
-def _check_presets():
-    expectations = {
-        "depolarizing": (4, False),
-        "phase_flip": (9, True),
-        "bit_flip": (9, True),
-        "bit_phase_flip": (9, True),
-        "amplitude_damping": (12, True),
-    }
-    failures = []
-    for name, (dim, accessible) in expectations.items():
-        system = preset(name, gamma=0.7)
-        acc = accessibility(system)
-        if acc.closure_dim != dim or acc.accessible != accessible:
-            failures.append("%s: got dim %d accessible %r, expected %d/%r"
-                            % (name, acc.closure_dim, acc.accessible, dim,
-                               accessible))
-    fp = fixed_point(preset("amplitude_damping", gamma=0.7).drift)
-    if fp is None or abs(purity(fp) - 1.0) > 1e-9:
-        failures.append("amplitude_damping: drift fixed point is not pure")
-    if failures:
-        return False, "; ".join(failures)
-    return True, "five channel presets show the expected closures"
-
-
-def _check_hamiltonian_rank():
-    basis = gellmann_basis(2)
-    ez = np.array([0.0, 0.0, 1.0])
-    ex = np.array([1.0, 0.0, 0.0])
-    full = hamiltonian_controllability(basis, ez, [ex])
-    degenerate = hamiltonian_controllability(basis, ez, [ez])
-    ok = full.controllable and full.dim == 3 \
-        and not degenerate.controllable and degenerate.dim == 1
-    return ok, ("z-drift with x-control spans dim %d; z-drift with z-control "
-                "spans dim %d" % (full.dim, degenerate.dim))
-
-
-VERIFY_CHECKS = (
-    ("structure_constants", _check_structure_constants),
-    ("gks_symmetry", _check_gks_symmetry),
-    ("dissipator_realness", _check_dissipator_real),
-    ("generator_table", _check_generator_table),
-    ("taxonomy", _check_taxonomy),
-    ("determinant_law", _check_determinant_law),
-    ("presets", _check_presets),
-    ("hamiltonian_rank", _check_hamiltonian_rank),
-)
-
-
 def cmd_verify(out=None):
+    from .selfcheck import CHECKS
+
     results = []
-    for name, func in VERIFY_CHECKS:
+    for name, func in CHECKS:
         ok, detail = func()
         results.append({"name": name, "ok": bool(ok), "detail": detail})
         print("[%s] %s: %s" % ("PASS" if ok else "FAIL", name, detail))

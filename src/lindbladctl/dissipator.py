@@ -13,8 +13,9 @@ assemble_dissipator does not form the L_jk: it computes the linear part as
 G_lr = tr(lambda_l D(lambda_r)), with D written once as an N^2 x N^2
 supermatrix, in O(N^6) time and O(N^4) memory (the stacked L_jk take
 O(N^8)).  The translation is the paper's sum_jk a_jk v_jk, one contraction
-against f, which is exactly zero for a real symmetric A.  build_Ljk and
-build_vjk evaluate the paper's formulas and remain the oracle for it.
+against f, which is exactly zero for a real symmetric A.  The L_jk formula
+itself is evaluated only by the conjugate-pair self-check
+(selfcheck.paper_Ljk), and the tests compare the assembly against it.
 
 L_kj is the entrywise conjugate of L_jk, so the assembled generator is real
 whenever A is Hermitian.  A is admissible when it is positive semidefinite;
@@ -27,10 +28,9 @@ import numpy as np
 
 from .affine import AffineGenerator
 
-__all__ = ["GksMatrix", "AffineGenerator", "build_Ljk", "build_vjk",
-           "assemble_dissipator", "check_psd", "PsdReport",
-           "check_minors_2level", "MinorsReport", "two_level_gks",
-           "is_unital", "split_trace", "fixed_point"]
+__all__ = ["GksMatrix", "AffineGenerator", "assemble_dissipator",
+           "check_psd", "PsdReport", "check_minors_2level", "MinorsReport",
+           "two_level_gks", "is_unital", "split_trace", "fixed_point"]
 
 
 def _scaled_tol(entries):
@@ -83,33 +83,6 @@ class GksMatrix:
 
     def __repr__(self):
         return "GksMatrix(n=%d)" % self.n
-
-
-def _check_index(basis, j, name):
-    if not 1 <= j <= basis.n:
-        raise IndexError("%s index must satisfy 1 <= %s <= %d, got %r"
-                         % (name, name, basis.n, j))
-
-
-def build_Ljk(basis, j, k):
-    """The n x n complex matrix L_jk for 1-based indices j, k."""
-    _check_index(basis, j, "j")
-    _check_index(basis, k, "k")
-    f, d = basis.f, basis.d
-    j -= 1
-    k -= 1
-    p_j = f[j] + 1.0j * d[j]        # [m, r]
-    p_kc = f[k] - 1.0j * d[k]
-    term1 = np.einsum("mr,ml->lr", p_j, f[k])
-    term2 = np.einsum("mr,ml->lr", p_kc, f[j])
-    return -0.25 * (term1 + term2)
-
-
-def build_vjk(basis, j, k):
-    """The translation coefficient vector v_jk = (i/sqrt(N)) f_jk."""
-    _check_index(basis, j, "j")
-    _check_index(basis, k, "k")
-    return (1.0j / np.sqrt(basis.N)) * basis.f[j - 1, k - 1, :]
 
 
 def assemble_dissipator(A, basis):

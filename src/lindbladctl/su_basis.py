@@ -16,6 +16,8 @@ With this normalization f is fully antisymmetric with f_xyz = sqrt(2) at
 N = 2, and the anticommutator expands as
 
     {lambda_j, lambda_k} = (2/sqrt(N)) delta_jk lambda_0 + sum_l d_jkl lambda_l.
+
+The basis stores f; structure_tensors computes d on demand.
 """
 
 from dataclasses import dataclass, field
@@ -39,7 +41,7 @@ class HermitianBasis:
     n : number of traceless basis elements, N^2 - 1.
     lambda0 : the normalized identity I/sqrt(N).
     lambdas : tuple of the n traceless basis matrices.
-    f, d : structure tensors of shape (n, n, n).
+    f : antisymmetric structure tensor of shape (n, n, n).
     """
 
     N: int
@@ -47,7 +49,6 @@ class HermitianBasis:
     lambda0: np.ndarray
     lambdas: tuple
     f: np.ndarray = field(repr=False)
-    d: np.ndarray = field(repr=False)
 
 
 def _gellmann_matrices(N):
@@ -103,20 +104,19 @@ def gellmann_basis(N):
     N = int(N)
     mats = _gellmann_matrices(N)
     stacked = np.array(mats)
-    f, d = _structure_from_matrices(stacked)
+    f, _ = _structure_from_matrices(stacked)
     lambda0 = np.eye(N, dtype=complex) / np.sqrt(N)
-    for arr in (lambda0, f, d, *mats):
+    for arr in (lambda0, f, *mats):
         arr.flags.writeable = False
     return HermitianBasis(N=N, n=N * N - 1, lambda0=lambda0,
-                          lambdas=tuple(mats), f=f, d=d)
+                          lambdas=tuple(mats), f=f)
 
 
 def structure_tensors(basis):
-    """Recompute (f, d) from the basis matrices.
+    """Compute (f, d) from the basis matrices; the only source of d.
 
-    This shares its code with the tensors stored on the basis, so it checks
-    only that the stored tensors were not altered; the independent check is
-    the anticommutator expansion in the module docstring.
+    f shares its code with basis.f; the independent checks are the
+    commutator and anticommutator expansions in the module docstring.
     """
     return _structure_from_matrices(np.array(basis.lambdas))
 

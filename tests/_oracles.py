@@ -7,9 +7,7 @@ agreement is meaningful.
 
 import numpy as np
 
-from lindbladctl import (ControlSystem, GksMatrix, PiecewiseControl,
-                         adjoint_generator, assemble_dissipator, check_psd,
-                         gellmann_basis)
+from lindbladctl import PiecewiseControl, structure_tensors
 
 
 def superoperator_generator(h, A, basis):
@@ -50,7 +48,7 @@ def superoperator_generator(h, A, basis):
 
 def naive_Ljk(basis, j, k):
     """Quadruple-loop evaluation of the linear dissipation matrix L_jk."""
-    f, d = basis.f, basis.d
+    f, d = structure_tensors(basis)
     n = basis.n
     j -= 1
     k -= 1
@@ -73,25 +71,6 @@ def random_hermitian(rng, n, scale=1.0):
 def random_psd(rng, n, scale=1.0):
     b = rng.normal(size=(n, n)) + 1.0j * rng.normal(size=(n, n))
     return scale * (b @ b.conj().T) / n
-
-
-def two_level_system(entries, h0=(0.0, 0.0, 0.0)):
-    """Fully controlled qubit system for a 3 x 3 GKS matrix.
-
-    Controls are the three axis rotations (lambda coefficients e_k/sqrt(2)).
-    """
-    basis = gellmann_basis(2)
-    gks = GksMatrix(entries)
-    s = 1.0 / np.sqrt(2.0)
-    return ControlSystem(
-        N=2,
-        hamiltonian=adjoint_generator(basis, np.asarray(h0, dtype=float)),
-        controls=tuple(adjoint_generator(basis, s * np.eye(3)[k])
-                       for k in range(3)),
-        dissipator=assemble_dissipator(gks, basis),
-        gks=gks,
-        admissible=check_psd(gks).is_psd,
-    )
 
 
 def random_piecewise(rng, horizon, num_controls, bound=2.0, max_segments=8):

@@ -11,14 +11,14 @@ pure translations M5, M7, M9 by alpha.
 
 import numpy as np
 
-from _oracles import (random_hermitian, random_piecewise, random_psd,
-                      two_level_system)
+from _oracles import random_hermitian, random_piecewise, random_psd
 from lindbladctl import (CoherenceVector, GksMatrix, PRESET_NAMES,
                          PiecewiseControl, accessibility,
-                         assemble_dissipator, bracket, build_Ljk, closure,
+                         assemble_dissipator, bracket, closure,
                          determinant_check, fixed_point, gellmann_basis,
                          m_matrix, preset, propagate, purity, purity_rate,
                          sample_reachable, verify_structure_constants)
+from lindbladctl.selfcheck import CHECKS, two_level_system
 
 
 def _report(capsys, num, ok, detail=""):
@@ -165,18 +165,12 @@ def test_criterion_06_unital_monotonicity(capsys):
 
 
 def test_criterion_07_gks_conjugate_symmetry_and_realness(capsys):
-    problems = []
+    # the conjugate-pair symmetry is the gks_symmetry self-check
+    ok, detail = dict(CHECKS)["gks_symmetry"]()
+    problems = [] if ok else [detail]
     rng = np.random.default_rng(707)
     for N in (2, 3, 4):
         basis = gellmann_basis(N)
-        worst = max(
-            float(np.max(np.abs(build_Ljk(basis, k, j)
-                                - build_Ljk(basis, j, k).conj())))
-            for j in range(1, basis.n + 1)
-            for k in range(1, basis.n + 1))
-        if worst > 1e-12:
-            problems.append("N=%d: conjugate-pair symmetry violated by %.3g"
-                            % (N, worst))
         for i in range(100):
             a = random_hermitian(rng, basis.n)
             try:
@@ -188,24 +182,9 @@ def test_criterion_07_gks_conjugate_symmetry_and_realness(capsys):
 
 
 def test_criterion_08_single_entry_assemblies_match_table(capsys):
-    basis = gellmann_basis(2)
-    cases = (
-        (1, 2, 1.0, 4), (1, 2, 1.0j, 5),
-        (1, 3, 1.0, 6), (1, 3, 1.0j, 7),
-        (2, 3, 1.0, 8), (2, 3, 1.0j, 9),
-        (1, 1, 1.0, 10), (2, 2, 1.0, 11), (3, 3, 1.0, 12),
-    )
-    problems = []
-    for j, k, value, m in cases:
-        a = np.zeros((3, 3), dtype=complex)
-        a[j - 1, k - 1] = value
-        a[k - 1, j - 1] = np.conj(value)
-        got = assemble_dissipator(GksMatrix(a), basis).homogeneous
-        dev = np.max(np.abs(got - m_matrix(m).homogeneous))
-        if dev > 1e-12:
-            problems.append("entry (%d,%d) = %s deviates from M%d by %.3g"
-                            % (j, k, value, m, dev))
-    _report(capsys, 8, not problems, "; ".join(problems))
+    # the nine single-entry cases are the generator_table self-check
+    ok, detail = dict(CHECKS)["generator_table"]()
+    _report(capsys, 8, ok, "" if ok else detail)
 
 
 def test_criterion_09_random_psd_taxonomy_and_trace(capsys):

@@ -1,5 +1,6 @@
 """Command-line interface: documents, reports, exit codes, determinism."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -9,10 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lindbladctl.cli import (CliParseError, SystemDocument, _fmt_number,
-                             cloud_csv, dumps_report, main, trajectory_csv)
+from lindbladctl.cli import (TOLERANCES, CliParseError, SystemDocument,
+                             _fmt_number, cloud_csv, cmd_analyze,
+                             dumps_report, main, trajectory_csv)
 from lindbladctl import (CoherenceVector, PiecewiseControl, accessibility,
-                         preset, propagate, sample_reachable)
+                         check_psd, dynamics, fixed_point, is_physical,
+                         is_unital, preset, propagate, sample_reachable,
+                         selfcheck)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -103,7 +107,7 @@ def test_cli_import_does_not_load_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = ("import sys, lindbladctl.cli; "
+    code = ("import sys, lindbladctl.cli, lindbladctl.selfcheck; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -393,11 +397,41 @@ def test_verify_command(tmp_path, capsys):
     code = main(["verify", "--out", str(out)])
     captured = capsys.readouterr().out
     lines = [ln for ln in captured.split("\n") if ln.startswith("[")]
-    assert len(lines) == 8
-    assert all(ln.startswith("[PASS]") for ln in lines)
+    names = ["structure_constants", "gks_symmetry", "dissipator_realness",
+             "generator_table", "taxonomy", "determinant_law", "presets",
+             "hamiltonian_rank"]
+    assert [name for name, _ in selfcheck.CHECKS] == names
+    assert [ln.split(":")[0] for ln in lines] == ["[PASS] " + n for n in names]
+    assert sum(ln.startswith("[PASS]") for ln in lines) \
+        == len(selfcheck.CHECKS)
     assert "verify: 8/8 checks passed" in captured
     assert code == 0
     report = json.loads(out.read_text())
     assert report["ok"] is True
-    assert [c["name"] for c in report["checks"]][:2] \
-        == ["structure_constants", "gks_symmetry"]
+    assert [c["name"] for c in report["checks"]] == names
+
+
+def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr(selfcheck, "CHECKS", (
+        ("broken", lambda: (False, "why")), selfcheck.CHECKS[-1]))
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr().out
+    assert "[FAIL] broken: why\n" in captured
+    assert "verify: 1/2 checks passed" in captured
+
+
+def test_printed_tolerances_are_the_defaults_in_use():
+    """analyze and reachable print TOLERANCES: each entry must be the
+    default of the code it names, not a copy that can drift from it."""
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert TOLERANCES == {
+        "closure": default(accessibility, "tol"),
+        "psd": default(check_psd, "tol"),
+        "unital": default(is_unital, "tol"),
+        "fixed_point_rcond": default(fixed_point, "rcond"),
+        "physicality": default(is_physical, "tol"),
+        "ball_exit": dynamics.BALL_EXIT_TOL,
+    }
+    assert default(cmd_analyze, "tol") == TOLERANCES["closure"]

@@ -7,10 +7,10 @@ import pytest
 
 from _oracles import naive_Ljk, random_hermitian, random_psd, superoperator_generator
 from lindbladctl import (AffineGenerator, GksMatrix, adjoint_generator,
-                        assemble_dissipator, build_Ljk, build_vjk,
-                        check_minors_2level, check_psd, fixed_point,
-                        gellmann_basis, is_unital, m_matrix, purity,
-                        split_trace, two_level_gks)
+                        assemble_dissipator, check_minors_2level, check_psd,
+                        fixed_point, gellmann_basis, is_unital, m_matrix,
+                        purity, split_trace, two_level_gks)
+from lindbladctl.selfcheck import paper_Ljk
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
@@ -29,56 +29,31 @@ def test_assembly_matches_density_matrix_oracle(N):
         assert np.max(np.abs(right[0, :])) < 1e-12  # trace preserved
 
 
-def test_build_Ljk_against_naive_loops():
+def test_paper_Ljk_against_naive_loops():
     basis = gellmann_basis(3)
+    L = paper_Ljk(basis)
     for j, k in ((1, 1), (1, 2), (2, 5), (4, 7), (8, 3)):
-        np.testing.assert_allclose(build_Ljk(basis, j, k),
-                                   naive_Ljk(basis, j, k), atol=1e-12)
-
-
-@pytest.mark.parametrize("N", [2, 3, 4])
-def test_conjugate_pair_symmetry(N):
-    basis = gellmann_basis(N)
-    for j in range(1, basis.n + 1):
-        for k in range(j, basis.n + 1):
-            np.testing.assert_allclose(build_Ljk(basis, k, j),
-                                       build_Ljk(basis, j, k).conj(),
-                                       atol=1e-13)
-
-
-def test_build_vjk_values():
-    basis = gellmann_basis(2)
-    # v_xy = (i/sqrt(2)) f_xy. = (0, 0, i): translation source of M_5
-    np.testing.assert_allclose(build_vjk(basis, 1, 2), [0.0, 0.0, 1.0j],
-                               atol=1e-13)
-    np.testing.assert_allclose(build_vjk(basis, 2, 1), [0.0, 0.0, -1.0j],
-                               atol=1e-13)
-    np.testing.assert_allclose(build_vjk(basis, 1, 1), np.zeros(3), atol=0)
-
-
-def test_index_validation():
-    basis = gellmann_basis(2)
-    with pytest.raises(IndexError):
-        build_Ljk(basis, 0, 1)
-    with pytest.raises(IndexError):
-        build_vjk(basis, 1, 4)
+        np.testing.assert_allclose(L[j - 1, k - 1], naive_Ljk(basis, j, k),
+                                   atol=1e-12)
 
 
 def test_pairwise_real_form_equals_full_sum():
-    # the paper's formula: summing build_Ljk / build_vjk over j <= k with the
-    # conjugate pair folded in, (2 - delta_jk) Re(a_jk) Re(L_jk) parts plus
-    # the imaginary cross terms, reproduces the assembled generator
+    # the paper's formula: summing L_jk and v_jk = (i/sqrt(N)) f_jk over
+    # j <= k with the conjugate pair folded in, (2 - delta_jk) Re(a_jk)
+    # Re(L_jk) parts plus the imaginary cross terms, reproduces the
+    # assembled generator
     for N in (2, 3, 4, 5):
         basis = gellmann_basis(N)
         rng = np.random.default_rng(42)
         A = random_hermitian(rng, basis.n)
         full = assemble_dissipator(GksMatrix(A), basis)
         n = basis.n
+        paper_L = paper_Ljk(basis)
         acc = AffineGenerator.zero(n)
         for j in range(1, n + 1):
             for k in range(j, n + 1):
-                L = build_Ljk(basis, j, k)
-                v = build_vjk(basis, j, k)
+                L = paper_L[j - 1, k - 1]
+                v = (1.0j / np.sqrt(N)) * basis.f[j - 1, k - 1]
                 weight = 1.0 if j == k else 2.0
                 re = AffineGenerator(L.real, np.zeros(n))
                 acc = acc + weight * A[j - 1, k - 1].real * re

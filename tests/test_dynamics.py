@@ -7,15 +7,14 @@ import pytest
 
 from scipy.linalg import expm as scipy_expm
 
-from _oracles import (random_piecewise, random_psd, sample_reachable_loop,
-                      two_level_system)
+from _oracles import random_piecewise, random_psd, sample_reachable_loop
 from lindbladctl import (BallExitError, CoherenceVector, GksMatrix,
                         PRESET_NAMES, PiecewiseControl, adjoint_generator,
-                        assemble_dissipator, determinant_check,
-                        gellmann_basis, preset, propagate, purity,
-                        purity_rate, sample_reachable)
+                        assemble_dissipator, gellmann_basis, preset,
+                        propagate, purity, purity_rate, sample_reachable)
 from lindbladctl import dynamics
 from lindbladctl.dynamics import _SAMPLE_BLOCK, _draw_controls, expm
+from lindbladctl.selfcheck import two_level_system
 
 
 def test_piecewise_control_validation():
@@ -86,17 +85,6 @@ def test_depolarizing_norm_law_under_any_control():
         norms = np.array([s.norm() for s in traj.states])
         np.testing.assert_allclose(
             norms, v0.norm() * np.exp(-2.0 * gamma * traj.times), atol=1e-12)
-
-
-def test_determinant_check_random_systems():
-    rng = np.random.default_rng(31)
-    for _ in range(5):
-        system = two_level_system(random_psd(rng, 3),
-                                  h0=0.5 * rng.normal(size=3))
-        ctrl = random_piecewise(rng, 1.0, 3)
-        traj = propagate(system, ctrl,
-                         CoherenceVector(2, 0.3 * rng.normal(size=3)))
-        assert determinant_check(traj, system) < 1e-10
 
 
 def test_purity_rate_centered_difference():

@@ -6,17 +6,21 @@ import numpy as np
 import pytest
 
 from _oracles import (affine_lie_dim, closure_features, closure_label,
-                      matrix_lie_dim, random_psd, two_level_system)
-from lindbladctl import (ACCESSIBLE_LABELS, PRESET_NAMES, AffineGenerator,
-                        ControlSystem, GksMatrix, accessibility,
-                        adjoint_generator, assemble_dissipator, bracket,
-                        classify, closure, gellmann_basis,
-                        hamiltonian_controllability, liealg, m_matrix,
-                        noncontrollability_certificates, preset,
-                        verify_structure_constants)
-from lindbladctl.cli import (TAXONOMY_CASES, SystemDocument,
-                             _two_level_system)
+                      matrix_lie_dim, random_psd)
+from lindbladctl import (PRESET_NAMES, AffineGenerator, ControlSystem,
+                        GksMatrix, accessibility, adjoint_generator,
+                        assemble_dissipator, bracket, classify, closure,
+                        gellmann_basis, hamiltonian_controllability, liealg,
+                        m_matrix, noncontrollability_certificates, preset,
+                        two_level_gks, verify_structure_constants)
+from lindbladctl.cli import SystemDocument
 from lindbladctl.liealg import BRACKET_TABLE
+from lindbladctl.selfcheck import TAXONOMY_CASES, two_level_system
+
+
+def _taxonomy_systems():
+    return [two_level_system(two_level_gks(params).entries)
+            for _, params, _, _ in TAXONOMY_CASES]
 
 
 def test_closure_of_rotations_alone():
@@ -119,8 +123,7 @@ def test_closure_dim_matches_affine_oracle():
     systems = [preset(name) for name in ("depolarizing", "phase_flip",
                                          "bit_flip", "bit_phase_flip",
                                          "amplitude_damping")]
-    systems += [_two_level_system(params) for _, params, _, _ in
-                TAXONOMY_CASES]
+    systems += _taxonomy_systems()
     rng = np.random.default_rng(31)
     randoms = [_random_system(rng) for _ in range(3)]
     for system in systems + randoms:
@@ -188,8 +191,7 @@ def _oracle_systems(group):
                 .to_control_system()
                 for name in PRESET_NAMES for gamma, h03 in PRESET_GRID]
     if group == "taxonomy":
-        return [_two_level_system(params)
-                for _, params, _, _ in TAXONOMY_CASES]
+        return _taxonomy_systems()
     if group == "random":
         rng = np.random.default_rng(32)
         return ([_random_system(rng, 3) for _ in range(3)]
@@ -238,17 +240,6 @@ def test_classify_computes_features_at_its_own_tol():
         for tol in (1e-12, 1e-9, 1e-6, 1e-3, 0.5):
             assert classify(poisoned, tol=tol) == closure_label(
                 c.basis, c.n, tol)
-
-
-def test_taxonomy_cases():
-    """Seven coefficient families, frozen closure dimensions and labels."""
-    expected_dims = [case[2] for case in TAXONOMY_CASES]
-    assert expected_dims == [8, 9, 6, 11, 12, 4, 7]
-    for name, params, dim, label in TAXONOMY_CASES:
-        acc = accessibility(_two_level_system(params))
-        assert acc.closure_dim == dim, name
-        assert acc.classification == label, name
-        assert acc.accessible == (label in ACCESSIBLE_LABELS), name
 
 
 def test_accessibility_verdicts_for_presets():

@@ -18,6 +18,25 @@ def test_expansion_round_trip():
     assert purity(v) == pytest.approx(np.trace(rho @ rho).real, abs=1e-12)
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_coherence_maps_match_per_term_loops(N):
+    basis = gellmann_basis(N)
+    rng = np.random.default_rng(N)
+    for _ in range(20):
+        b = rng.normal(size=(N, N)) + 1.0j * rng.normal(size=(N, N))
+        rho = b @ b.conj().T
+        rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+        v = to_coherence(rho, basis)
+        np.testing.assert_allclose(
+            v.rho, [np.trace(rho @ lam).real for lam in basis.lambdas],
+            rtol=0, atol=1e-15)
+        mat = v.rho0 * basis.lambda0
+        for c, lam in zip(v.rho, basis.lambdas):
+            mat = mat + c * lam
+        # bit for bit: analyze prints eigenvalues of this matrix to 17 digits
+        np.testing.assert_array_equal(from_coherence(v, basis), mat)
+
+
 def test_rho0_fixed_by_unit_trace():
     v = CoherenceVector(2, np.zeros(3))
     assert v.rho0 == pytest.approx(1.0 / np.sqrt(2.0))

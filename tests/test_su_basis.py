@@ -64,7 +64,7 @@ def test_structure_constant_f_two_level():
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_structure_tensor_symmetries(N):
     basis = gellmann_basis(N)
-    f, d = basis.f, basis.d
+    f, d = structure_tensors(basis)
     # f fully antisymmetric, d fully symmetric
     np.testing.assert_allclose(f, -np.swapaxes(f, 0, 1), atol=1e-12)
     np.testing.assert_allclose(f, np.moveaxis(f, (0, 1, 2), (1, 2, 0)),
@@ -77,6 +77,7 @@ def test_structure_tensor_symmetries(N):
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_commutator_and_anticommutator_expansions(N):
     basis = gellmann_basis(N)
+    d = structure_tensors(basis)[1]
     rng = np.random.default_rng(N)
     for _ in range(4):
         j, k = rng.integers(0, basis.n, size=2)
@@ -88,16 +89,24 @@ def test_commutator_and_anticommutator_expansions(N):
         anti = lj @ lk + lk @ lj
         expansion = ((2.0 / np.sqrt(N)) * (1.0 if j == k else 0.0)
                      * basis.lambda0
-                     + sum(basis.d[j, k, l] * basis.lambdas[l]
+                     + sum(d[j, k, l] * basis.lambdas[l]
                            for l in range(basis.n)))
         np.testing.assert_allclose(anti, expansion, atol=1e-12)
 
 
 def test_structure_tensors_cross_check():
+    # f and d against their defining traces, entry by entry
     basis = gellmann_basis(3)
     f, d = structure_tensors(basis)
-    np.testing.assert_allclose(f, basis.f, atol=1e-13)
-    np.testing.assert_allclose(d, basis.d, atol=1e-13)
+    np.testing.assert_array_equal(f, basis.f)
+    lams = basis.lambdas
+    for j, k, l in np.ndindex(f.shape):
+        prod = lams[j] @ lams[k]
+        rev = lams[k] @ lams[j]
+        assert f[j, k, l] == pytest.approx(
+            (-1.0j * np.trace((prod - rev) @ lams[l])).real, abs=1e-13)
+        assert d[j, k, l] == pytest.approx(
+            np.trace((prod + rev) @ lams[l]).real, abs=1e-13)
 
 
 def test_basis_cached_and_read_only():
