@@ -37,6 +37,15 @@ def test_paper_Ljk_against_naive_loops():
                                    atol=1e-12)
 
 
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_conjugate_pair_symmetry(N):
+    basis = gellmann_basis(N)
+    L = paper_Ljk(basis)
+    for j in range(basis.n):
+        for k in range(j, basis.n):
+            np.testing.assert_allclose(L[k, j], L[j, k].conj(), atol=1e-13)
+
+
 def test_pairwise_real_form_equals_full_sum():
     # the paper's formula: summing L_jk and v_jk = (i/sqrt(N)) f_jk over
     # j <= k with the conjugate pair folded in, (2 - delta_jk) Re(a_jk)
