@@ -17,6 +17,7 @@ output.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -130,20 +131,36 @@ def dumps_report(obj):
     return "".join(out) + "\n"
 
 
-def _csv_rows(header, table):
-    """CSV text: the header, then each row of table as %.17g numbers.
+def _csv_rows(header, values, lead=()):
+    """CSV text: the header, then one line per row of leading labels + values.
 
-    Byte-identical to formatting every value with _fmt_number: integral
-    columns print without a decimal point, and -0.0 prints as 0.
+    values is a (rows, cols) float array.  lead holds the leading columns
+    as their distinct values, outermost first: with lead = (a, b), row r
+    starts with a[r // len(b)] and b[r % len(b)], as in a nested loop over
+    a and b.  Each label is formatted once, with _fmt_number, and built
+    into a template of the whole table, which one % call fills with every
+    value as %.17g.  The text is byte-identical to formatting every value
+    of every row with _fmt_number: integral labels print without a decimal
+    point and -0.0 prints as 0.  A non-finite number raises ValueError
+    naming the first one in row order.
     """
-    finite = np.isfinite(table)
-    if not finite.all():
+    rows, cols = values.shape
+    shape = [len(col) for col in lead]
+    reps = rows // math.prod(shape)
+    if not (np.isfinite(values).all()
+            and all(np.isfinite(col).all() for col in lead)):
+        index = np.indices(shape + [reps]).reshape(len(shape) + 1, -1)
+        table = np.column_stack([np.asarray(col, dtype=float)[i]
+                                 for col, i in zip(lead, index)] + [values])
         raise ValueError("cannot serialize non-finite number %r"
-                         % float(table[~finite][0]))
-    row_fmt = ",".join(["%.17g"] * table.shape[1])
-    lines = [header]
-    lines.extend(row_fmt % tuple(row) for row in (table + 0.0).tolist())
-    return "\n".join(lines) + "\n"
+                         % float(table[~np.isfinite(table)][0]))
+    template = "\n".join([",".join(["%.17g"] * cols)] * reps)
+    for col in reversed(lead):
+        template = "\n".join(
+            label + template.replace("\n", "\n" + label)
+            for label in [_fmt_number(x) + "," for x in col])
+    return "%s\n%s\n" % (header,
+                         template % tuple((values + 0.0).ravel().tolist()))
 
 
 def trajectory_csv(traj):
@@ -161,9 +178,7 @@ def cloud_csv(result):
     samples, grid_points, n = result.points.shape
     return _csv_rows(
         "sample,t," + ",".join("rho_%d" % (i + 1) for i in range(n)),
-        np.column_stack([np.repeat(np.arange(samples), grid_points),
-                         np.tile(result.grid, samples),
-                         result.points.reshape(-1, n)]))
+        result.points.reshape(-1, n), lead=(range(samples), result.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +340,28 @@ def _write_output(text, out):
         Path(out).write_text(text)
 
 
+#: Library parameter -> the flag that sets it.
+_PARAM_FLAGS = {"horizon": "--horizon", "control_bound": "--control-bound",
+                "num_samples": "--samples", "samples_per_segment": "--samples",
+                "seed": "--seed"}
+
+
+@contextlib.contextmanager
+def _flag_values():
+    """Report a library ValueError about a parameter as a bad flag value.
+
+    A message that starts with a name in _PARAM_FLAGS becomes a
+    CliParseError naming the flag (exit code 2); others pass through.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        if name not in _PARAM_FLAGS:
+            raise
+        raise CliParseError("%s: %s" % (_PARAM_FLAGS[name], rest)) from exc
+
+
 def _parse_rho0(text, N):
     n = N * N - 1
     if text is None:
@@ -346,7 +383,10 @@ def _parse_rho0(text, N):
 
 def _parse_control(text, num_controls, horizon):
     if text is None:
-        return PiecewiseControl.zero(num_controls, horizon)
+        try:
+            return PiecewiseControl.zero(num_controls, horizon)
+        except ValueError as exc:
+            raise CliParseError("--horizon: %s" % exc) from exc
     if text.startswith("@"):
         try:
             text = Path(text[1:]).read_text()
@@ -382,7 +422,9 @@ def _parse_control(text, num_controls, horizon):
         raise CliParseError("--control: segments have %d amplitudes but the "
                             "document defines %d controls"
                             % (control.num_controls, num_controls))
-    if horizon is not None and abs(control.total_duration - horizon) > 1e-9:
+    # "not <=" also rejects a nan horizon
+    if horizon is not None \
+            and not abs(control.total_duration - horizon) <= 1e-9:
         raise CliParseError("--control: total duration %.17g does not match "
                             "--horizon %.17g"
                             % (control.total_duration, horizon))
@@ -493,7 +535,8 @@ def cmd_simulate(path, control=None, rho0=None, horizon=None, samples=20,
         horizon = 1.0
     ctrl = _parse_control(control, len(system.controls), horizon)
     v0 = _parse_rho0(rho0, system.N)
-    traj = propagate(system, ctrl, v0, samples_per_segment=samples)
+    with _flag_values():
+        traj = propagate(system, ctrl, v0, samples_per_segment=samples)
     _write_output(trajectory_csv(traj), out)
     return 0
 
@@ -504,8 +547,9 @@ def cmd_reachable(path, rho0=None, horizon=1.0, samples=500, seed=0,
     system = doc.to_control_system()
     _require_admissible(system, permissive)
     v0 = _parse_rho0(rho0, system.N)
-    result = sample_reachable(system, v0, horizon, num_samples=samples,
-                              seed=seed, control_bound=control_bound)
+    with _flag_values():
+        result = sample_reachable(system, v0, horizon, num_samples=samples,
+                                  seed=seed, control_bound=control_bound)
     stats = {
         "report": "reachable",
         "schema_version": SCHEMA_VERSION,

@@ -107,8 +107,9 @@ class PiecewiseControl:
         width = None
         for duration, u in self.segments:
             duration = float(duration)
-            if duration <= 0.0:
-                raise ValueError("segment durations must be positive")
+            if not (duration > 0.0 and np.isfinite(duration)):
+                raise ValueError("segment durations must be finite and "
+                                 "positive, got %r" % duration)
             u = np.asarray(u, dtype=float)
             if u.ndim != 1:
                 raise ValueError("segment amplitudes must be a vector")
@@ -174,7 +175,7 @@ def _ball_exit_error(context, excess):
 
 def _check_ball(rho, N, context):
     excess = float(rho @ rho) - (1.0 - 1.0 / N)
-    if excess > BALL_EXIT_TOL:
+    if not excess <= BALL_EXIT_TOL:  # a nan state (overflow) fails too
         raise _ball_exit_error(context, excess)
 
 
@@ -277,12 +278,20 @@ def sample_reachable(system, rho_init, horizon, num_samples=500, seed=0,
     steps that pad samples with fewer events are skipped, which changes no
     bit since expm(0) is exactly I.  Memory is O(_SAMPLE_BLOCK * N^4)
     beyond the returned points.  Raises BallExitError, naming a sample and
-    a time, if a state leaves the ball by more than BALL_EXIT_TOL.
+    a time, if a state leaves the ball by more than BALL_EXIT_TOL, and
+    ValueError, naming the parameter, for a horizon that is not finite and
+    positive or a control_bound that is not finite and >= 0.
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    if not (horizon > 0.0 and np.isfinite(horizon)):
+        raise ValueError("horizon must be finite and positive, got %r"
+                         % float(horizon))
+    if not (control_bound >= 0.0 and np.isfinite(control_bound)):
+        raise ValueError("control_bound must be finite and >= 0, got %r"
+                         % float(control_bound))
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0, got %d" % seed)
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     from .dissipator import is_unital
@@ -361,7 +370,7 @@ def _sample_block(system, bar0, horizon, grid, seed, samples, control_bound,
         g[act] = np.matmul(expm(gen * dt[act, k][:, None, None]), g[act])
         rho = (g[act] @ bar0)[:, 1:]
         sq = np.einsum("ij,ij->i", rho, rho)
-        out = np.flatnonzero(sq - radius2 > BALL_EXIT_TOL)
+        out = np.flatnonzero(~(sq - radius2 <= BALL_EXIT_TOL))
         if out.size:
             b = act[out[0]]
             raise _ball_exit_error("sample %d, t=%.6g"

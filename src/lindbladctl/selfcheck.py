@@ -83,13 +83,28 @@ def _check_structure_constants():
 
 
 def _check_gks_symmetry():
-    worst = 0.0
+    """L_kj = conj(L_jk), and sum_jk a_jk L_jk is the assembled linear part.
+
+    The symmetry holds by construction of paper_Ljk; the sum against
+    assemble_dissipator, which never forms L_jk, is what can fail.
+    """
+    rng = np.random.default_rng(20240816)
+    worst_sym = worst_sum = 0.0
     for N in (2, 3, 4):
-        L = paper_Ljk(gellmann_basis(N))
-        worst = max(worst, float(np.max(np.abs(L.transpose(1, 0, 2, 3)
-                                               - L.conj()))))
-    return (worst <= 1e-13,
-            "max |L_kj - conj(L_jk)| = %.3e over N in {2, 3, 4}" % worst)
+        basis = gellmann_basis(N)
+        L = paper_Ljk(basis)
+        worst_sym = max(worst_sym, float(np.max(np.abs(
+            L.transpose(1, 0, 2, 3) - L.conj()))))
+        b = rng.normal(size=(basis.n, basis.n)) \
+            + 1.0j * rng.normal(size=(basis.n, basis.n))
+        a = b + b.conj().T
+        dev = np.max(np.abs(np.einsum("jk,jklr->lr", a, L)
+                            - assemble_dissipator(GksMatrix(a), basis).linear))
+        worst_sum = max(worst_sum, float(dev) / max(1.0, np.max(np.abs(a))))
+    return (worst_sym <= 1e-13 and worst_sum <= 1e-12,
+            "max |L_kj - conj(L_jk)| = %.3e, max |sum a_jk L_jk - assembly| "
+            "/ max(1, max|A|) = %.3e over N in {2, 3, 4}"
+            % (worst_sym, worst_sum))
 
 
 def _check_dissipator_real():
@@ -97,10 +112,13 @@ def _check_dissipator_real():
     count = 0
     for N in (2, 3, 4):
         basis = gellmann_basis(N)
-        for _ in range(5):
+        for draw in range(5):
             b = rng.normal(size=(basis.n, basis.n)) \
                 + 1.0j * rng.normal(size=(basis.n, basis.n))
-            assemble_dissipator(GksMatrix(b + b.conj().T), basis)
+            try:
+                assemble_dissipator(GksMatrix(b + b.conj().T), basis)
+            except ValueError as exc:
+                return False, "N=%d draw %d: %s" % (N, draw, exc)
             count += 1
     return True, ("%d random Hermitian coefficient matrices assembled to "
                   "real generators" % count)

@@ -1,5 +1,6 @@
 """Command-line interface: documents, reports, exit codes, determinism."""
 
+import importlib.util
 import inspect
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _oracles import random_psd
 from lindbladctl.cli import (TOLERANCES, CliParseError, SystemDocument,
                              _fmt_number, cloud_csv, cmd_analyze,
                              dumps_report, main, trajectory_csv)
@@ -79,6 +81,27 @@ def test_csv_writers():
     assert len(cloud) == 1 + 2 * len(result.grid)
 
 
+def _per_value_lines(rows):
+    return [",".join(map(_fmt_number, row)) for row in rows] + [""]
+
+
+def _trajectory_rows(traj):
+    return [[t, *state.rho, p, d] for t, state, p, d in
+            zip(traj.times, traj.states, traj.purities, traj.dets)]
+
+
+def _cloud_rows(result):
+    return [[i, t, *result.points[i, j]] for i in range(len(result.points))
+            for j, t in enumerate(result.grid)]
+
+
+def _random_n3_document(rng):
+    a = random_psd(rng, 8)
+    return SystemDocument(N=3, h0=rng.normal(size=8),
+                          controls=rng.normal(size=(2, 8)),
+                          a_real=a.real, a_imag=a.imag)
+
+
 def test_csv_writers_match_per_value_formatting():
     # the bulk writers print exactly what _fmt_number prints value by value
     system = preset("amplitude_damping", gamma=0.7)
@@ -86,21 +109,67 @@ def test_csv_writers_match_per_value_formatting():
     traj = propagate(system, PiecewiseControl(((0.3, [1.0, -2.0, 0.0]),
                                                (0.5, [0.0, 0.0, 3.0]))),
                      v0, samples_per_segment=5)
-    rows = [[t, *state.rho, p, d] for t, state, p, d in
-            zip(traj.times, traj.states, traj.purities, traj.dets)]
     lines = trajectory_csv(traj).split("\n")
-    assert lines[1:] == [",".join(map(_fmt_number, r)) for r in rows] + [""]
+    assert lines[1:] == _per_value_lines(_trajectory_rows(traj))
     assert lines[1].split(",")[2] == "0"  # -0.0 prints as 0
 
-    result = sample_reachable(system, v0, 1.0, num_samples=12, seed=4)
-    rows = [[i, t, *result.points[i, j]] for i in range(12)
-            for j, t in enumerate(result.grid)]
+    # 130 samples cross two 64-sample draw substreams; labels of 1-3 digits
+    result = sample_reachable(system, v0, 1.0, num_samples=130, seed=4)
     lines = cloud_csv(result).split("\n")
-    assert lines[1:] == [",".join(map(_fmt_number, r)) for r in rows] + [""]
+    assert lines[1:] == _per_value_lines(_cloud_rows(result))
+    assert [ln.split(",")[0] for ln in lines[1::11]] \
+        == [str(i) for i in range(130)] + [""]
 
-    result.points[3, 2, 1] = np.inf
-    with pytest.raises(ValueError, match="non-finite"):
+    # signed zeros and extreme magnitudes, in the values and in a label
+    result.points[0, 0] = [-0.0, 1e-300, -1e-300]
+    result.points[129, 10] = [1e300, -1e300, -0.0]
+    result.grid[0] = -0.0
+    lines = cloud_csv(result).split("\n")
+    assert lines[1:] == _per_value_lines(_cloud_rows(result))
+    assert lines[1] == "0,0,0,1e-300,-1e-300"
+    assert lines[-2] == "129,1,1.0000000000000001e+300," \
+                        "-1.0000000000000001e+300,0"
+
+    # a random N=3 system on a two-point grid, and its trajectory
+    system3 = _random_n3_document(np.random.default_rng(31)) \
+        .to_control_system()
+    v3 = CoherenceVector(3, np.zeros(8))
+    result3 = sample_reachable(system3, v3, 0.5, num_samples=20, seed=2,
+                               grid_points=2)
+    lines = cloud_csv(result3).split("\n")
+    assert lines[0] == "sample,t," + ",".join("rho_%d" % i
+                                              for i in range(1, 9))
+    assert lines[1:] == _per_value_lines(_cloud_rows(result3))
+    traj3 = propagate(system3, PiecewiseControl.zero(2, 0.5), v3,
+                      samples_per_segment=3)
+    assert trajectory_csv(traj3).split("\n")[1:] \
+        == _per_value_lines(_trajectory_rows(traj3))
+
+
+def test_csv_writers_name_the_first_nonfinite_value_in_row_order():
+    system = preset("bit_flip", gamma=0.5)
+    v0 = CoherenceVector(2, [0.3, 0.0, 0.4])
+    result = sample_reachable(system, v0, 1.0, num_samples=12, seed=4)
+    result.points[7, 0, 0] = np.inf
+    result.points[5, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite number nan$"):
         cloud_csv(result)
+    result.grid[3] = -np.inf  # row (0, 3) comes before row (5, 1)
+    with pytest.raises(ValueError, match="non-finite number -inf$"):
+        cloud_csv(result)
+    result.points[0, 3, 0] = np.nan  # but t comes before rho in a row
+    with pytest.raises(ValueError, match="non-finite number -inf$"):
+        cloud_csv(result)
+
+    traj = propagate(system, PiecewiseControl.zero(3, 1.0), v0,
+                     samples_per_segment=6)
+    traj.dets[4] = np.inf
+    traj.purities[2] = np.nan
+    with pytest.raises(ValueError, match="non-finite number nan$"):
+        trajectory_csv(traj)
+    traj.times[2] = -np.inf
+    with pytest.raises(ValueError, match="non-finite number -inf$"):
+        trajectory_csv(traj)
 
 
 def test_cli_import_does_not_load_scipy():
@@ -295,6 +364,13 @@ def test_exit_code_4_on_ball_exit(tmp_path, capsys):
                  "--rho0", "0.3,0,0.4", "--out", str(tmp_path / "t.csv")])
     assert code == 4
     assert "error:" in capsys.readouterr().err
+    # an overflowing flow, not a bad flag value
+    doc = _write_preset_doc(tmp_path, "bit_flip", gamma=0.5)
+    with np.errstate(all="ignore"):
+        code = main(["reachable", str(doc), "--control-bound", "1e200",
+                     "--samples", "5", "--out", str(tmp_path / "c")])
+    assert code == 4
+    assert "by nan" in capsys.readouterr().err
 
 
 def test_simulate_csv_output(tmp_path):
@@ -345,6 +421,43 @@ def test_rho0_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+BAD_FLAG_VALUES = [
+    (["reachable", "--horizon", "inf"],
+     "--horizon: must be finite and positive, got inf"),
+    (["reachable", "--horizon", "nan"],
+     "--horizon: must be finite and positive, got nan"),
+    (["reachable", "--horizon", "0"],
+     "--horizon: must be finite and positive, got 0.0"),
+    (["reachable", "--control-bound", "nan"],
+     "--control-bound: must be finite and >= 0, got nan"),
+    (["reachable", "--control-bound", "inf"],
+     "--control-bound: must be finite and >= 0, got inf"),
+    (["reachable", "--control-bound", "-1"],
+     "--control-bound: must be finite and >= 0, got -1.0"),
+    (["reachable", "--samples", "0"], "--samples: must be >= 1"),
+    (["reachable", "--seed", "-1"], "--seed: must be >= 0, got -1"),
+    (["simulate", "--horizon", "-1"],
+     "--horizon: segment durations must be finite and positive, got -1.0"),
+    (["simulate", "--horizon", "nan"],
+     "--horizon: segment durations must be finite and positive, got nan"),
+    (["simulate", "--horizon", "inf"],
+     "--horizon: segment durations must be finite and positive, got inf"),
+    (["simulate", "--samples", "0"], "--samples: must be >= 1"),
+    (["simulate", "--control", "[[0.5, [0, 0, 1]]]", "--horizon", "nan"],
+     "--control: total duration 0.5 does not match --horizon nan"),
+]
+
+
+@pytest.mark.parametrize("args, message", BAD_FLAG_VALUES,
+                         ids=[" ".join(args) for args, _ in BAD_FLAG_VALUES])
+def test_bad_flag_values_exit_2(tmp_path, capsys, args, message):
+    doc = _write_preset_doc(tmp_path, "bit_flip", gamma=0.5)
+    out = tmp_path / "out"
+    assert main([args[0], str(doc), *args[1:], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_reachable_writes_csv_and_stats(tmp_path):
     doc = _write_preset_doc(tmp_path, "bit_flip", gamma=0.6)
     base = tmp_path / "cloud"
@@ -390,6 +503,37 @@ def test_reachable_csv_is_prefix_stable_in_samples(tmp_path):
     assert long[:1 + 100 * 11] == short[:-1]
     # reruns are byte-identical
     assert outputs["c"] == outputs["b"]
+
+
+def test_benchmark_trace_names_resolve(tmp_path):
+    """bench/spans.py wraps package functions by name; a moved name fails
+    its install with KeyError, and the wrapped calls must be reached."""
+    from lindbladctl import cli, liealg
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    originals = {name: getattr(cli, name)
+                 for name in ("cloud_csv", "trajectory_csv", "main")}
+    tracer = spans.Tracer()
+    tracer.install(cli, liealg, dynamics)
+    try:
+        doc = _write_preset_doc(tmp_path, "bit_flip", gamma=0.5)
+        tracer.op = 0
+        assert cli.main(["reachable", str(doc), "--samples", "20",
+                         "--out", str(tmp_path / "cloud")]) == 0
+        tracer.op = 1
+        assert cli.main(["simulate", str(doc),
+                         "--out", str(tmp_path / "t.csv")]) == 0
+        tracer.op = None
+    finally:
+        tracer.uninstall()
+    csv_ops = {op for name, _, _, op, _ in tracer.spans if name == "cli.csv"}
+    assert csv_ops == {0, 1}
+    assert tracer.leaves["dynamics.expm"][0] > 0
+    for name, fn in originals.items():
+        assert getattr(cli, name) is fn
 
 
 def test_verify_command(tmp_path, capsys):

@@ -20,8 +20,9 @@ from lindbladctl.selfcheck import two_level_system
 def test_piecewise_control_validation():
     with pytest.raises(ValueError):
         PiecewiseControl(())
-    with pytest.raises(ValueError):
-        PiecewiseControl(((0.0, [1.0]),))
+    for duration in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            PiecewiseControl(((0.5, [1.0]), (duration, [1.0])))
     with pytest.raises(ValueError):
         PiecewiseControl(((0.5, [1.0]), (0.5, [1.0, 2.0])))
     ctrl = PiecewiseControl.constant([1.0, 2.0], 0.3)
@@ -160,9 +161,19 @@ def test_sample_reachable_input_validation():
     system = preset("bit_flip", gamma=0.6)
     v0 = CoherenceVector(2, np.zeros(3))
     with pytest.raises(ValueError):
-        sample_reachable(system, v0, -1.0)
-    with pytest.raises(ValueError):
         sample_reachable(system, v0, 1.0, num_samples=0)
+    for horizon in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^horizon must be finite and "
+                                             "positive, got %r$" % horizon):
+            sample_reachable(system, v0, horizon)
+    for bound in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^control_bound must be finite"):
+            sample_reachable(system, v0, 1.0, control_bound=bound)
+    with pytest.raises(ValueError, match="^seed must be >= 0"):
+        sample_reachable(system, v0, 1.0, seed=-1)
+    # a zero bound is allowed: every control is then zero
+    assert sample_reachable(system, v0, 1.0, num_samples=3,
+                            control_bound=0.0).points.shape == (3, 11, 3)
 
 
 def _generator_stack(rng, N, count):
@@ -349,3 +360,16 @@ def test_sample_reachable_raises_ball_exit_for_inadmissible_system():
     with pytest.raises(BallExitError, match=r"sample \d+, t=\S+\)"):
         sample_reachable(system, CoherenceVector(2, [0.3, 0.0, 0.4]), 10.0,
                          num_samples=20, seed=1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_overflowing_flow_raises_ball_exit():
+    # amplitudes of 1e200 overflow expm to nan; a nan state is outside the
+    # ball, not a point to record
+    system = preset("bit_flip", gamma=0.5)
+    v0 = CoherenceVector(2, [0.3, 0.0, 0.4])
+    with pytest.raises(BallExitError, match="by nan"):
+        sample_reachable(system, v0, 1.0, num_samples=5, control_bound=1e200)
+    with pytest.raises(BallExitError, match="by nan"):
+        propagate(system, PiecewiseControl(((1.0, [1e200, 0.0, 0.0]),)), v0)
