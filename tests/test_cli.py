@@ -434,6 +434,9 @@ BAD_FLAG_VALUES = [
      "--control-bound: must be finite and >= 0, got inf"),
     (["reachable", "--control-bound", "-1"],
      "--control-bound: must be finite and >= 0, got -1.0"),
+    (["reachable", "--control-bound", "1e308"],
+     "--control-bound: must be finite and >= 0 and at most "
+     "8.988465674311579e+307, got 1e+308"),
     (["reachable", "--samples", "0"], "--samples: must be >= 1"),
     (["reachable", "--seed", "-1"], "--seed: must be >= 0, got -1"),
     (["simulate", "--horizon", "-1"],

@@ -13,7 +13,8 @@ from lindbladctl import (BallExitError, CoherenceVector, GksMatrix,
                         assemble_dissipator, gellmann_basis, preset,
                         propagate, purity, purity_rate, sample_reachable)
 from lindbladctl import dynamics
-from lindbladctl.dynamics import _SAMPLE_BLOCK, _draw_controls, expm
+from lindbladctl.dynamics import (_MAX_CONTROL_BOUND, _SAMPLE_BLOCK,
+                                  _THETA_25, _draw_controls, expm)
 from lindbladctl.selfcheck import two_level_system
 
 
@@ -166,9 +167,11 @@ def test_sample_reachable_input_validation():
         with pytest.raises(ValueError, match="^horizon must be finite and "
                                              "positive, got %r$" % horizon):
             sample_reachable(system, v0, horizon)
-    for bound in (-1.0, np.nan, np.inf):
+    for bound in (-1.0, np.nan, np.inf, 1e308):
         with pytest.raises(ValueError, match="^control_bound must be finite"):
             sample_reachable(system, v0, 1.0, control_bound=bound)
+    # the largest accepted bound still draws: its range 2 * bound is finite
+    _draw_controls(0, range(3), 1.0, _MAX_CONTROL_BOUND, 3)
     with pytest.raises(ValueError, match="^seed must be >= 0"):
         sample_reachable(system, v0, 1.0, seed=-1)
     # a zero bound is allowed: every control is then zero
@@ -186,13 +189,19 @@ def _generator_stack(rng, N, count):
         for _ in range(count)])
 
 
-@pytest.mark.parametrize("N", [2, 3, 4])
-def test_expm_matches_scipy_on_stacks(N):
+@pytest.mark.parametrize("N", [2, 3, 4, 7])
+def test_expm_matches_scipy_on_stacks(N, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("expm called np.linalg.solve")
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
     rng = np.random.default_rng(40 + N)
     gens = _generator_stack(rng, N, 6)
     unit = gens / np.abs(gens).sum(axis=1).max(axis=1)[:, None, None]
-    norms = 10.0 ** np.arange(-8, 4)
-    stack = norms[:, None, None, None] * unit  # (12, 6, N^2, N^2)
+    # powers of ten, and norms on both sides of the scaling threshold, so
+    # that both s = 0 and s = 1 are held to the bound
+    norms = np.concatenate([10.0 ** np.arange(-8, 4),
+                            _THETA_25 * np.array([0.99, 1.0, 1.01, 2.0])])
+    stack = norms[:, None, None, None] * unit  # (16, 6, N^2, N^2)
     got = expm(stack)
     assert got.shape == stack.shape
     for a, e in zip(stack.reshape(-1, N * N, N * N),
@@ -207,6 +216,26 @@ def test_expm_of_zero_is_exactly_identity():
     np.testing.assert_array_equal(expm(np.zeros((3, 4, 4))),
                                   np.broadcast_to(np.eye(4), (3, 4, 4)))
     np.testing.assert_array_equal(expm(-0.0 * np.ones((9, 9))), np.eye(9))
+
+
+def test_expm_is_nan_beyond_its_norm_limit():
+    rng = np.random.default_rng(47)
+    gens = _generator_stack(rng, 2, 4)
+    rot = np.zeros((4, 4))
+    rot[1, 2], rot[2, 1] = 2.0 ** 53 - 1.0, 1.0 - 2.0 ** 53
+    huge = np.zeros((4, 4))
+    huge[3, 3] = 2.0 ** 53
+    nan = gens[0].copy()
+    nan[1, 1] = np.nan
+    stack = np.array([gens[0], 1e200 * gens[1], gens[1], huge, gens[2], nan,
+                      rot, gens[3]])
+    got = expm(stack)
+    out = [1, 3, 5]
+    assert np.isnan(got[out]).all()
+    keep = [0, 2, 4, 6, 7]
+    assert np.isfinite(got[keep]).all()
+    for k in keep:
+        np.testing.assert_array_equal(expm(stack[k]), got[k])
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
