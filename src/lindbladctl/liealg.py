@@ -6,8 +6,14 @@ generators.  This module computes that closure by repeated bracketing with
 numerical orthonormalization, classifies the resulting algebra, and emits
 machine-checkable certificates of noncontrollability that hold whenever the
 dissipative part is nonzero.
+
+accessibility decides the common case without the affine closure: when the
+controls alone generate ad su(N), the algebra is Lie{ad su(N), D} for the
+dissipator D, and one n x n closure of the linear parts settles it (see
+accessibility).  Every other system goes through closure and classify.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -82,8 +88,7 @@ class LieClosure:
     """Result of the bracket-closure computation.
 
     rows is a read-only (dim, (n+1)^2) array of flattened homogeneous
-    matrices, orthonormal in the flattened-entry inner product; basis
-    builds them as a tuple of AffineGenerators on each access.  generations
+    matrices, orthonormal in the flattened-entry inner product.  generations
     counts the bracket rounds that produced at least one new element;
     converged is False only if the generation budget ran out while new
     elements were still appearing.  features is (p, q, has_trace) at the
@@ -102,13 +107,6 @@ class LieClosure:
     @property
     def dim(self):
         return len(self.rows)
-
-    @property
-    def basis(self):
-        m = self.n + 1
-        return tuple(AffineGenerator.from_homogeneous(v.reshape(m, m),
-                                                      tol=np.inf)
-                     for v in self.rows)
 
 
 def _bracket_closure(seeds, commutator, max_dim, tol, max_generations):
@@ -141,11 +139,13 @@ def _bracket_closure(seeds, commutator, max_dim, tol, max_generations):
             res = res - (res @ q.T) @ q
         start = dim
         for v in res[np.linalg.norm(res, axis=1) > tol]:
+            if dim == max_dim:
+                break
             new = rows[start:dim]
             for _ in range(2):
                 v = v - new.T @ (new @ v)
-            r = np.linalg.norm(v)
-            if r > tol and dim < max_dim:
+            r = math.sqrt(v @ v)
+            if r > tol:
                 rows[dim] = v / r
                 dim += 1
 
@@ -163,6 +163,15 @@ def _bracket_closure(seeds, commutator, max_dim, tol, max_generations):
         generations += 1
         lo = hi
     return rows[:dim], generations, dim == max_dim
+
+
+def _matrix_commutator(m):
+    """commutator(stack, x) for _bracket_closure on flat m x m matrices."""
+    def commutator(stack, x):
+        a = stack.reshape(-1, m, m)
+        x = x.reshape(m, m)
+        return (a @ x - x @ a).reshape(stack.shape)
+    return commutator
 
 
 def closure(generators, tol=1e-9, max_generations=8):
@@ -183,15 +192,9 @@ def closure(generators, tol=1e-9, max_generations=8):
     if any(g.n != n for g in generators):
         raise ValueError("generators have mismatched dimensions")
     m = n + 1
-
-    def commutator(stack, x):
-        a = stack.reshape(-1, m, m)
-        x = x.reshape(m, m)
-        return (a @ x - x @ a).reshape(stack.shape)
-
     seeds = np.array([g.homogeneous.ravel() for g in generators])
     rows, generations, converged = _bracket_closure(
-        seeds, commutator, n * n + n, tol, max_generations)
+        seeds, _matrix_commutator(m), n * n + n, tol, max_generations)
     if not len(rows):
         raise ValueError("all generators are numerically zero")
     rows.flags.writeable = False
@@ -285,9 +288,31 @@ def accessibility(system, tol=1e-9, max_generations=8):
 
     The system is accessible iff the closure is gl(n) or gl(n) x R^n.
     accessible is None (unknown) when the closure ran out of its generation
-    budget.  The features are the ones the closure computed at the same
-    tol, so no rank is taken twice.
+    budget.
+
+    When the controls alone generate ad su(N) (their n x n closure reaches
+    dimension n), the Hamiltonian drift lies in it, so the algebra is
+    Lie{ad su(N), D} for the dissipator D.  Projection onto linear parts is
+    a Lie homomorphism, so p is the dimension of the n x n closure of the
+    ad su(N) rows and D.linear / |D.linear|: the count of its orthonormal
+    rows, with no rate scale left in it.  When p = n^2 the translation
+    ideal is 0 or all of R^n, and it is 0 iff every element fixes a common
+    point; ad su(N) fixes only 0, so q = 0 iff |D.translation| <= tol * |D|.
+    The report then reads gl(n) or gl(n) x R^n with has_trace True,
+    closure_dim p + q, and generations counting the rounds of the n x n
+    closure with D.  Every other system (see _gl_generations) gets the
+    affine closure and the features and label it computed at the same tol.
     """
+    generations = _gl_generations(system, tol, max_generations)
+    if generations is not None:
+        n = system.N * system.N - 1
+        D = system.dissipator
+        q = 0 if np.linalg.norm(D.translation) <= tol * D.norm() else n
+        features = {"linear_dim": n * n, "translation_dim": q,
+                    "has_trace": True}
+        return AccessibilityReport(True, n * n + q,
+                                   "gl(n) x R^n" if q else "gl(n)",
+                                   generations, True, features)
     c = closure([system.drift, *system.controls], tol=tol,
                 max_generations=max_generations)
     p, q, has_trace = c.features
@@ -300,6 +325,42 @@ def accessibility(system, tol=1e-9, max_generations=8):
                   else None)
     return AccessibilityReport(accessible, c.dim, c.classification,
                                c.generations, c.converged, features)
+
+
+def _gl_generations(system, tol, max_generations):
+    """Rounds for Lie{ad su(N), D.linear} to reach gl(n), else None.
+
+    None when there are no controls, when |D.linear| <= tol * |D| (its
+    direction would be rounding noise), when the controls' linear parts do
+    not close to dimension n, when those n rows do not stand for ad su(N),
+    or when the closure with D.linear stops short of n^2 within the budget.
+
+    The rows stand for ad su(N) when the Hamiltonian lies in their span and
+    the sum of R^T R over them is the identity to tol.  ad su(N) acts
+    absolutely irreducibly, so that sum is I for any orthonormal basis of
+    it, and a null vector shared by the rows would make it singular.
+    Hamiltonian drift and controls always pass; other skew generators may
+    not, and then take the affine route.
+    """
+    n = system.N * system.N - 1
+    D = system.dissipator
+    if not system.controls or np.linalg.norm(D.linear) <= tol * D.norm():
+        return None
+    commutator = _matrix_commutator(n)
+    su, _, _ = _bracket_closure(
+        np.array([c.linear.ravel() for c in system.controls]), commutator,
+        n, tol, max_generations)
+    if len(su) < n:
+        return None
+    h = system.hamiltonian.linear.ravel()
+    stacked = su.reshape(-1, n)
+    if (np.linalg.norm(h - (su @ h) @ su) > tol * np.linalg.norm(h)
+            or np.max(np.abs(stacked.T @ stacked - np.eye(n))) > tol):
+        return None
+    seeds = np.vstack([su, D.linear.reshape(1, -1)])
+    rows, generations, _ = _bracket_closure(seeds, commutator, n * n, tol,
+                                            max_generations)
+    return generations if len(rows) == n * n else None
 
 
 class Certificate(NamedTuple):

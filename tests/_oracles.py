@@ -7,7 +7,7 @@ agreement is meaningful.
 
 import numpy as np
 
-from lindbladctl import PiecewiseControl, structure_tensors
+from lindbladctl import AffineGenerator, PiecewiseControl, structure_tensors
 
 
 def superoperator_generator(h, A, basis):
@@ -47,18 +47,21 @@ def superoperator_generator(h, A, basis):
 
 
 def naive_Ljk(basis, j, k):
-    """Quadruple-loop evaluation of the linear dissipation matrix L_jk."""
-    f, d = structure_tensors(basis)
+    """Quadruple-loop evaluation of the linear dissipation matrix L_jk.
+
+    The tensors are read as nested Python lists: plain float arithmetic
+    keeps every pair at N = 4 to about a second.
+    """
+    f, d = (t.tolist() for t in structure_tensors(basis))
     n = basis.n
-    j -= 1
-    k -= 1
+    fj, dj, fk, dk = f[j - 1], d[j - 1], f[k - 1], d[k - 1]
     out = np.zeros((n, n), dtype=complex)
     for l in range(n):
         for r in range(n):
             acc = 0.0j
             for m in range(n):
-                acc += (f[j, m, r] + 1.0j * d[j, m, r]) * f[k, m, l]
-                acc += (f[k, m, r] - 1.0j * d[k, m, r]) * f[j, m, l]
+                acc += (fj[m][r] + 1.0j * dj[m][r]) * fk[m][l]
+                acc += (fk[m][r] - 1.0j * dk[m][r]) * fj[m][l]
             out[l, r] = -0.25 * acc
     return out
 
@@ -156,6 +159,13 @@ def affine_lie_dim(generators, tol=1e-9):
             return len(span), rounds
         span = grown
         rounds += 1
+
+
+def closure_members(c):
+    """The rows of a LieClosure as a tuple of AffineGenerators."""
+    m = c.n + 1
+    return tuple(AffineGenerator.from_homogeneous(v.reshape(m, m), tol=np.inf)
+                 for v in c.rows)
 
 
 def closure_features(members, n, tol):

@@ -165,8 +165,8 @@ def test_criterion_06_unital_monotonicity(capsys):
 
 
 def test_criterion_07_gks_conjugate_symmetry_and_realness(capsys):
-    # the conjugate-pair symmetry and the L_jk sum are the gks_symmetry
-    # self-check
+    # the L_jk sum is the gks_symmetry self-check; the conjugate-pair
+    # symmetry is checked on the loop oracle by test_conjugate_pair_symmetry
     ok, detail = dict(CHECKS)["gks_symmetry"]()
     problems = [] if ok else [detail]
     rng = np.random.default_rng(707)

@@ -39,11 +39,14 @@ def test_paper_Ljk_against_naive_loops():
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_conjugate_pair_symmetry(N):
+    """L_kj = conj(L_jk) on the loop oracle, which sums the two terms of
+    each pair in its own order (paper_Ljk is symmetric by construction)."""
     basis = gellmann_basis(N)
-    L = paper_Ljk(basis)
-    for j in range(basis.n):
-        for k in range(j, basis.n):
-            np.testing.assert_allclose(L[k, j], L[j, k].conj(), atol=1e-13)
+    for j in range(1, basis.n + 1):
+        for k in range(j, basis.n + 1):
+            np.testing.assert_allclose(naive_Ljk(basis, k, j),
+                                       naive_Ljk(basis, j, k).conj(),
+                                       atol=1e-13)
 
 
 def test_pairwise_real_form_equals_full_sum():

@@ -4,9 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import (affine_lie_dim, closure_features, closure_label,
-                      matrix_lie_dim, random_psd)
+                      closure_members, matrix_lie_dim, random_psd)
 from lindbladctl import (PRESET_NAMES, AffineGenerator, ControlSystem,
                         GksMatrix, accessibility, adjoint_generator,
                         assemble_dissipator, bracket, classify, closure,
@@ -37,7 +39,7 @@ def test_closure_phase_flip_saturates_at_dim_nine():
     assert c.converged
     assert c.classification == "gl(n)"
     # closure stays linear: no translation ever appears
-    for g in c.basis:
+    for g in closure_members(c):
         assert np.max(np.abs(g.translation)) < 1e-12
 
 
@@ -47,8 +49,7 @@ def test_closure_reaches_full_affine_algebra():
     assert c.dim == 12
     assert c.classification == "gl(n) x R^n"
     # orthonormal basis in the flattened inner product
-    flat = np.array([g.homogeneous.ravel() for g in c.basis])
-    np.testing.assert_allclose(flat @ flat.T, np.eye(12), atol=1e-9)
+    np.testing.assert_allclose(c.rows @ c.rows.T, np.eye(12), atol=1e-9)
 
 
 def test_closure_generation_budget():
@@ -152,37 +153,109 @@ def test_closure_matches_oracle_rounds_on_preset_document_grid(name, expected):
             (gamma, h03)
 
 
-@pytest.mark.parametrize("N", [3, 4])
-def test_accessibility_verdict_is_invariant_under_rate_scaling(N):
+def _scaled_systems(seed, N, exponents):
+    """(real, exponent, system): a random drift and 2 controls from
+    default_rng(seed), with the GKS matrix A and its real part scaled by
+    10**exponent."""
     basis = gellmann_basis(N)
-    rng = np.random.default_rng(70 + N)
+    rng = np.random.default_rng(seed)
     A = random_psd(rng, basis.n)
     h0, h1, h2 = (adjoint_generator(basis, rng.normal(size=basis.n))
                   for _ in range(3))
-    for entries in (A, A.real):
-        verdicts = set()
-        for exponent in range(-3, 4):
+    for real, entries in ((False, A), (True, A.real)):
+        for exponent in exponents:
             gks = GksMatrix(10.0 ** exponent * entries)
-            acc = accessibility(ControlSystem(
-                N=N, hamiltonian=h0, controls=(h1, h2),
-                dissipator=assemble_dissipator(gks, basis), gks=gks))
-            verdicts.add((acc.accessible, acc.closure_dim, acc.classification))
-        assert len(verdicts) == 1, verdicts
-
-
-def _rate_scaled_systems(N):
-    """The family of the rate-scaling test: full and real A, 1e-3..1e3."""
-    basis = gellmann_basis(N)
-    rng = np.random.default_rng(70 + N)
-    A = random_psd(rng, basis.n)
-    h0, h1, h2 = (adjoint_generator(basis, rng.normal(size=basis.n))
-                  for _ in range(3))
-    for entries in (A, A.real):
-        for exponent in range(-3, 4):
-            gks = GksMatrix(10.0 ** exponent * entries)
-            yield ControlSystem(
+            yield real, exponent, ControlSystem(
                 N=N, hamiltonian=h0, controls=(h1, h2),
                 dissipator=assemble_dissipator(gks, basis), gks=gks)
+
+
+def _verdict(acc):
+    return acc.accessible, acc.closure_dim, acc.classification
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_accessibility_verdict_is_invariant_under_rate_scaling(N):
+    verdicts = {False: set(), True: set()}
+    for real, _, system in _scaled_systems(70 + N, N, range(-12, 13)):
+        verdicts[real].add(_verdict(accessibility(system)))
+    assert all(len(v) == 1 for v in verdicts.values()), verdicts
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_rate_scale_sweep_gives_one_verdict_per_cell(N):
+    """Ten systems per cell, GKS scale 10**e for e = -12, -9, ..., 12: a
+    full A reaches gl(n) x R^n and a real A (no translation) gl(n), at
+    every scale."""
+    n = N * N - 1
+    expected = {False: (True, n * n + n, "gl(n) x R^n"),
+                True: (True, n * n, "gl(n)")}
+    verdicts = {False: set(), True: set()}
+    for k in range(10):
+        for real, exponent, system in _scaled_systems(
+                1000 * N + k, N, range(-12, 13, 3)):
+            acc = accessibility(system)
+            if exponent == -12:
+                assert acc.accessible is not False, (k, real)
+            verdicts[real].add(_verdict(acc))
+    assert verdicts == {real: {v} for real, v in expected.items()}, verdicts
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-12.0, 12.0),
+       real=st.booleans())
+def test_rate_scale_property(seed, exponent, real):
+    """At N=3 the verdict at GKS scale 10**U(-12, 12) is the scale-1 one."""
+    systems = {e: system for r, e, system in
+               _scaled_systems(seed, 3, (0.0, exponent)) if r == real}
+    assert (_verdict(accessibility(systems[exponent]))
+            == _verdict(accessibility(systems[0.0])))
+
+
+def test_accessibility_does_not_need_the_affine_closure(monkeypatch):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("affine closure called")
+
+    monkeypatch.setattr(liealg, "closure", no_closure)
+    system = _random_system(np.random.default_rng(33), 4)
+    assert _verdict(accessibility(system)) == (True, 240, "gl(n) x R^n")
+
+
+def _skew(rng, n, support):
+    b = np.zeros((n, n))
+    b[:support, :support] = rng.normal(size=(support, support))
+    return AffineGenerator(b - b.T)
+
+
+def test_skew_controls_outside_ad_su_take_the_affine_route():
+    """Skew controls that are not Hamiltonians can close to dimension n
+    without being ad su(N).  Here they share the null vector e_8, which the
+    dissipator also fixes, so the algebra is gl(n) with no translations;
+    read as ad su(N), the rows would give gl(n) x R^n."""
+    rng = np.random.default_rng(34)
+    L = rng.normal(size=(8, 8))
+    system = ControlSystem(N=3, hamiltonian=AffineGenerator.zero(8),
+                           controls=(_skew(rng, 8, 7), _skew(rng, 8, 7)),
+                           dissipator=AffineGenerator(L, -L[:, 7]))
+    assert _verdict(accessibility(system)) == (True, 64, "gl(n)")
+    assert affine_lie_dim([system.drift, *system.controls])[0] == 64
+
+
+def test_non_hamiltonian_drift_takes_the_affine_route(monkeypatch):
+    calls = []
+
+    def counting_closure(*args, **kwargs):
+        calls.append(1)
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(liealg, "closure", counting_closure)
+    system = dataclasses.replace(
+        _random_system(np.random.default_rng(35)),
+        hamiltonian=_skew(np.random.default_rng(36), 8, 8))
+    acc = accessibility(system)
+    assert calls == [1]
+    assert acc.closure_dim == affine_lie_dim(
+        [system.drift, *system.controls])[0]
 
 
 def _oracle_systems(group):
@@ -196,34 +269,27 @@ def _oracle_systems(group):
         rng = np.random.default_rng(32)
         return ([_random_system(rng, 3) for _ in range(3)]
                 + [_random_system(rng, 4) for _ in range(2)])
-    return [*_rate_scaled_systems(3), *_rate_scaled_systems(4)]
+    # the rate-scaled family: full and real A, scales 1e-3..1e3
+    return [system for N in (3, 4)
+            for _, _, system in _scaled_systems(70 + N, N, range(-3, 4))]
 
 
 @pytest.mark.parametrize("group", ["presets", "taxonomy", "random",
                                    "rate_scaled"])
-def test_features_and_label_match_per_member_oracle(group, monkeypatch):
-    """The array features and label equal the per-AffineGenerator oracle's,
-    read off the basis that the rows build on demand."""
-    closures = []
-
-    def recording_closure(*args, **kwargs):
-        closures.append(closure(*args, **kwargs))
-        return closures[-1]
-
-    # accessibility resolves closure by its module name; recording it gives
-    # the closure behind each report without computing it twice
-    monkeypatch.setattr(liealg, "closure", recording_closure)
+def test_features_and_label_match_per_member_oracle(group):
+    """The report's size, features and label equal the per-AffineGenerator
+    oracle's, read off the members of the affine closure of the same
+    generators, whichever route accessibility took."""
     labels = set()
     for system in _oracle_systems(group):
         acc = accessibility(system)
-        c = closures.pop()
-        members = c.basis
+        c = closure([system.drift, *system.controls])
         assert not c.rows.flags.writeable
-        np.testing.assert_array_equal(
-            np.array([g.homogeneous.ravel() for g in members]), c.rows)
+        members = closure_members(c)
         p, q, has_trace = closure_features(members, c.n, 1e-9)
         assert acc.features == {"linear_dim": p, "translation_dim": q,
                                 "has_trace": has_trace}
+        assert acc.closure_dim == c.dim == p + q
         label = closure_label(members, c.n, 1e-9)
         assert acc.classification == c.classification == classify(c) == label
         labels.add(label)
@@ -239,7 +305,7 @@ def test_classify_computes_features_at_its_own_tol():
         poisoned = dataclasses.replace(c, features=(0, 0, False))
         for tol in (1e-12, 1e-9, 1e-6, 1e-3, 0.5):
             assert classify(poisoned, tol=tol) == closure_label(
-                c.basis, c.n, tol)
+                closure_members(c), c.n, tol)
 
 
 def test_accessibility_verdicts_for_presets():
