@@ -32,6 +32,8 @@ def superoperator_generator(h, A, basis):
         out = -1.0j * (H @ rho - rho @ H)
         for j in range(n):
             for k in range(n):
+                if not A[j, k]:
+                    continue
                 lj, lk = basis.lambdas[j], basis.lambdas[k]
                 out = out + 0.5 * A[j, k] * (
                     2.0 * lj @ rho @ lk - lk @ lj @ rho - rho @ lk @ lj)
@@ -44,6 +46,42 @@ def superoperator_generator(h, A, basis):
             gen[row, col] = np.trace(lam.conj().T @ image)
     assert np.max(np.abs(gen.imag)) < 1e-12
     return gen.real
+
+
+def flow_states(h0, controls, dissipator, basis, control, rho_init,
+                samples_per_segment=20):
+    """(times, states, purities) of a piecewise-constant controlled flow.
+
+    dissipator is superoperator_generator(0, A, basis) for the GKS matrix
+    A.  The generator of each segment adds superoperator_generator of the
+    Hamiltonian h0 + sum_k u_k controls[k], and the state at sub-step j of
+    a segment is SciPy's expm(G j tau) applied to the state where the
+    segment starts: one exponential per recorded state and no propagator
+    carried from step to step.  Purities are tr(rho^2) of the reconstructed
+    density matrices.  Recorded on the grid of propagate.
+    """
+    from scipy.linalg import expm
+
+    N, n = basis.N, basis.n
+    controls = np.asarray(controls, dtype=float).reshape(-1, n)
+    zero = np.zeros((n, n))
+    bar = np.concatenate(([1.0 / np.sqrt(N)], rho_init.rho))
+    times, bars = [0.0], [bar]
+    start = 0.0
+    for duration, u in control.segments:
+        gen = superoperator_generator(h0 + u @ controls, zero, basis) \
+            + dissipator
+        tau = duration / samples_per_segment
+        for j in range(1, samples_per_segment + 1):
+            times.append(start + j * tau)
+            bars.append(expm(gen * (j * tau)) @ bar)
+        bar = bars[-1]
+        start += duration
+    states = np.array(bars)[:, 1:]
+    rho = np.eye(N) / N + np.einsum("tj,jab->tab", states,
+                                    np.array(basis.lambdas))
+    purities = np.einsum("tab,tba->t", rho, rho).real
+    return np.array(times), states, purities
 
 
 def naive_Ljk(basis, j, k):
