@@ -21,9 +21,8 @@ traj = propagate(system, PiecewiseControl.zero(3, 4.0),
                  CoherenceVector(2, [0.0, 0.0, 0.0]),
                  samples_per_segment=8)
 print("free amplitude-damping relaxation:")
-for t, state, p in zip(traj.times[::2], traj.states[::2],
-                       traj.purities[::2]):
-    print(f"  t = {t:4.1f}  rho_3 = {state.rho[2]:+.6f}  purity = {p:.6f}")
+for t, rho, p in zip(traj.times[::2], traj.states[::2], traj.purities[::2]):
+    print(f"  t = {t:4.1f}  rho_3 = {rho[2]:+.6f}  purity = {p:.6f}")
 
 # The instantaneous purity production rate vanishes at the origin
 # (purity is at its minimum there), is positive part-way up the z axis,

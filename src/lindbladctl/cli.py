@@ -165,12 +165,11 @@ def _csv_rows(header, values, lead=()):
 
 def trajectory_csv(traj):
     """CSV text for a trajectory: t, rho_1..rho_n, purity, det_g."""
-    n = traj.states[0].n
+    n = traj.states.shape[1]
     return _csv_rows(
         "t," + ",".join("rho_%d" % (i + 1) for i in range(n))
         + ",purity,det_g",
-        np.column_stack([traj.times, [s.rho for s in traj.states],
-                         traj.purities, traj.dets]))
+        np.column_stack([traj.times, traj.states, traj.purities, traj.dets]))
 
 
 def cloud_csv(result):
@@ -691,9 +690,15 @@ def build_parser():
     return parser
 
 
+#: The parser main uses, built on its first call.
+_PARSER = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except CliParseError as exc:

@@ -11,8 +11,8 @@ traceless and drop out.  This is the volume-contraction law checked by
 determinant_check.
 
 The exponentials come from expm, a scaling-and-squaring Taylor routine in
-NumPy that takes a whole stack (..., n, n) at once, so sample_reachable
-advances every sample through one event with a single call.  It evaluates
+NumPy that takes a whole stack (..., n, n) at once: one call serves every
+segment of propagate and every sample of a sampler event.  It evaluates
 the degree-25 Taylor polynomial by Paterson-Stockmeyer in 8 matrix
 products and no linear solve, with the scaling chosen per matrix, so a
 matrix's exponential does not depend on the rest of its stack; the degree
@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-
-from .states import CoherenceVector, purity
 
 __all__ = ["PiecewiseControl", "Trajectory", "BallExitError", "propagate",
            "determinant_check", "purity_rate", "sample_reachable",
@@ -178,76 +176,80 @@ class PiecewiseControl:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled flow: times, states, purities and propagator determinants.
+    """Sampled flow: times (T,), states (T, n), purities (T,) and dets (T,).
 
-    dets holds det of the linear block of the propagator at each sample
-    point, for the volume-contraction check and for CSV export.
+    Row k of the read-only array states is the coherence vector at times[k]
+    (CoherenceVector(N, states[k]) builds the object); dets[k] is det of the
+    propagator's linear block, for determinant_check and the CSV export.
     """
 
     times: np.ndarray
-    states: tuple
+    states: np.ndarray
     purities: np.ndarray
     dets: np.ndarray
 
 
-def _segment_generator(system, u):
-    g = system.drift.homogeneous.copy()
-    if len(u) != len(system.controls):
-        raise ValueError("control has %d amplitudes but the system has %d "
-                         "control Hamiltonians" % (len(u), len(system.controls)))
-    for amp, ctrl in zip(u, system.controls):
-        g += amp * ctrl.homogeneous
-    return g
+def _generator_stack(system, amps):
+    """(S, m, m) homogeneous generators drift + sum_k amps[:, k] control_k."""
+    gen = np.repeat(system.drift.homogeneous[None], len(amps), axis=0)
+    for a, ctrl in zip(amps.T, system.controls):
+        gen += a[:, None, None] * ctrl.homogeneous
+    return gen
 
 
-def _ball_exit_error(context, excess):
-    return BallExitError(
-        "state left the coherence ball (%s): ||rho||^2 exceeds 1 - 1/N "
-        "by %.3e; the system is likely inadmissible or the dynamics "
-        "numerically unstable" % (context, excess))
-
-
-def _check_ball(rho, N, context):
-    excess = float(rho @ rho) - (1.0 - 1.0 / N)
-    if not excess <= BALL_EXIT_TOL:  # a nan state (overflow) fails too
-        raise _ball_exit_error(context, excess)
+def _check_ball(sq, N, where):
+    """Raise BallExitError for the first squared norm in sq beyond the ball
+    (a nan, from an overflowed state, too); where(i) names state i."""
+    excess = sq - (1.0 - 1.0 / N)
+    if not excess.max(initial=-np.inf) <= BALL_EXIT_TOL:
+        i = int(np.argmax(~(excess <= BALL_EXIT_TOL)))
+        raise BallExitError(
+            "state left the coherence ball (%s): ||rho||^2 exceeds 1 - 1/N "
+            "by %.3e; the system is likely inadmissible or the dynamics "
+            "numerically unstable" % (where(i), excess[i]))
 
 
 def propagate(system, control, rho_init, samples_per_segment=20):
     """Integrate the controlled flow, sampling each segment uniformly.
 
-    Piecewise-constant segments integrate exactly via one matrix
-    exponential per segment (applied in equal sub-steps so intermediate
-    states are recorded).  Raises BallExitError if the state leaves the
-    ball by more than BALL_EXIT_TOL.
+    Piecewise-constant segments integrate exactly: one stacked expm call
+    gives every segment's sub-step propagator, applied samples_per_segment
+    times so intermediate states are recorded.  Raises BallExitError if the
+    state leaves the ball by more than BALL_EXIT_TOL, and ValueError for a
+    state or a control that does not fit the system.
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
     if rho_init.N != system.N:
         raise ValueError("initial state dimension does not match the system")
+    q = len(system.controls)
+    if control.num_controls != q:
+        raise ValueError("control has %d amplitudes but the system has %d "
+                         "control Hamiltonians" % (control.num_controls, q))
+    tau = np.array([d for d, _ in control.segments]) / samples_per_segment
+    amps = np.array([u for _, u in control.segments]).reshape(len(tau), q)
+    steps = expm(_generator_stack(system, amps) * tau[:, None, None])
+
     bar0 = rho_init.bar
-    size = bar0.shape[0]
-    g = np.eye(size)
-    times = [0.0]
-    states = [rho_init]
-    dets = [np.linalg.det(g[1:, 1:])]
-    t = 0.0
-    for duration, u in control.segments:
-        gen = _segment_generator(system, u)
-        step = expm(gen * (duration / samples_per_segment))
+    size = len(tau) * samples_per_segment + 1
+    times, sq, dets = np.zeros(size), np.empty(size), np.ones(size)
+    states = np.empty((size, len(bar0) - 1))
+    states[0] = rho_init.rho
+    sq[0] = rho_init.rho @ rho_init.rho
+    g = np.eye(len(bar0))
+    t, k = 0.0, 0
+    for step, h in zip(steps, tau.tolist()):
         for _ in range(samples_per_segment):
+            k += 1
             g = step @ g
-            t += duration / samples_per_segment
-            bar = g @ bar0
-            rho = bar[1:]
-            _check_ball(rho, system.N, "t=%.6g" % t)
-            times.append(t)
-            states.append(CoherenceVector(system.N, rho, tol=float("inf")))
-            dets.append(np.linalg.det(g[1:, 1:]))
-    times = np.array(times)
-    purities = np.array([purity(s) for s in states])
-    return Trajectory(times=times, states=tuple(states), purities=purities,
-                      dets=np.array(dets))
+            times[k] = t = t + h
+            states[k] = (g @ bar0)[1:]
+            sq[k] = states[k] @ states[k]
+            _check_ball(sq[k:k + 1], system.N, lambda i: "t=%.6g" % t)
+            dets[k] = np.linalg.det(g[1:, 1:])
+    states.flags.writeable = False
+    return Trajectory(times=times, states=states,
+                      purities=1.0 / system.N + sq, dets=dets)
 
 
 def determinant_check(traj, system):
@@ -315,7 +317,7 @@ def sample_reachable(system, rho_init, horizon, num_samples=500, seed=0,
     a time, if a state leaves the ball by more than BALL_EXIT_TOL, and
     ValueError, naming the parameter, for a horizon that is not finite and
     positive or a control_bound that is not finite and >= 0 or whose range
-    2 * control_bound is not finite.
+    2 * control_bound is not finite, and for a state of another dimension.
     """
     if not (horizon > 0.0 and np.isfinite(horizon)):
         raise ValueError("horizon must be finite and positive, got %r"
@@ -333,6 +335,8 @@ def sample_reachable(system, rho_init, horizon, num_samples=500, seed=0,
         raise ValueError("seed must be >= 0, got %d" % seed)
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
+    if rho_init.N != system.N:
+        raise ValueError("initial state dimension does not match the system")
     from .dissipator import is_unital
 
     n = system.N * system.N - 1
@@ -392,9 +396,6 @@ def _sample_block(system, bar0, horizon, grid, seed, samples, control_bound,
                  axis=2)
     seg_amps = np.take_along_axis(amps, seg[:, :, None], axis=1)
 
-    drift_h = system.drift.homogeneous
-    ctrl_h = [c.homogeneous for c in system.controls]
-    radius2 = 1.0 - 1.0 / system.N
     points[:, 0] = bar0[1:]
     g = np.tile(np.eye(len(bar0)), (num_samples, 1, 1))
     nrm = np.full(num_samples, np.linalg.norm(bar0[1:]))
@@ -403,18 +404,12 @@ def _sample_block(system, bar0, horizon, grid, seed, samples, control_bound,
         # Only samples with a real step move: a padded step would multiply
         # by expm(0) = I exactly and leave the state as it is.
         act = np.flatnonzero(dt[:, k] > 0.0)
-        gen = np.repeat(drift_h[None], len(act), axis=0)
-        for a, ch in zip(seg_amps[act, k].T, ctrl_h):
-            gen += a[:, None, None] * ch
+        gen = _generator_stack(system, seg_amps[act, k])
         g[act] = np.matmul(expm(gen * dt[act, k][:, None, None]), g[act])
         rho = (g[act] @ bar0)[:, 1:]
         sq = np.einsum("ij,ij->i", rho, rho)
-        out = np.flatnonzero(~(sq - radius2 <= BALL_EXIT_TOL))
-        if out.size:
-            b = act[out[0]]
-            raise _ball_exit_error("sample %d, t=%.6g"
-                                   % (samples[b], events[b, k]),
-                                   sq[out[0]] - radius2)
+        _check_ball(sq, system.N, lambda i: "sample %d, t=%.6g"
+                    % (samples[act[i]], events[act[i], k]))
         new = np.sqrt(sq)
         max_increase = max(max_increase, float(np.max(new - nrm[act])))
         nrm[act] = new

@@ -125,7 +125,7 @@ def test_criterion_04_depolarizing_commutant_and_norm_law(capsys):
         v0 = CoherenceVector(2, rng.uniform(-0.4, 0.4, 3))
         traj = propagate(system, random_piecewise(rng, 1.0, 3, bound=5.0),
                          v0)
-        norms = np.array([s.norm() for s in traj.states])
+        norms = np.linalg.norm(traj.states, axis=1)
         worst = max(worst, float(np.max(np.abs(
             norms - v0.norm() * np.exp(alpha * traj.times)))))
     if worst > 1e-8:
@@ -222,7 +222,7 @@ def test_criterion_10_purity_rate_oracle(capsys):
                          CoherenceVector(2, [0.25, -0.15, 0.35]),
                          samples_per_segment=2)
         fd = (traj.purities[2] - traj.purities[0]) / (2.0 * h)
-        rate = purity_rate(system, traj.states[1])
+        rate = purity_rate(system, CoherenceVector(2, traj.states[1]))
         if abs(rate - fd) > 1e-6 * abs(fd):
             problems.append("%s: rate %.9g vs centered difference %.9g"
                             % (name, rate, fd))

@@ -86,7 +86,7 @@ def _per_value_lines(rows):
 
 
 def _trajectory_rows(traj):
-    return [[t, *state.rho, p, d] for t, state, p, d in
+    return [[t, *rho, p, d] for t, rho, p, d in
             zip(traj.times, traj.states, traj.purities, traj.dets)]
 
 
@@ -274,6 +274,27 @@ def test_preset_command(tmp_path):
     s = 1.0 / np.sqrt(2.0)
     assert doc.controls == ((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, s))
     assert doc.preset["params"]["gamma"] == 0.8
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    # good calls and a rejected one share one parser, and each call starts
+    # from the defaults
+    from lindbladctl import cli
+
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or real())
+    out = tmp_path / "doc.json"
+    assert main(["preset", "bit_flip", "--gamma", "0.8", "--out",
+                 str(out)]) == 0
+    assert SystemDocument.load(out).preset["params"]["gamma"] == 0.8
+    with pytest.raises(SystemExit):
+        main(["preset", "no_such_channel"])
+    assert main(["preset", "bit_flip", "--out", str(out)]) == 0
+    assert SystemDocument.load(out).preset["params"]["gamma"] == 1.0
+    assert built == [1]
 
 
 def test_analyze_report_content(tmp_path):

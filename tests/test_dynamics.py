@@ -40,16 +40,16 @@ def test_amplitude_damping_closed_form_relaxation():
     traj = propagate(system, PiecewiseControl.zero(3, 2.0), v0,
                      samples_per_segment=16)
     rho0 = 1.0 / np.sqrt(2.0)
-    for t, state in zip(traj.times, traj.states):
+    for t, rho in zip(traj.times, traj.states):
         decay = np.exp(-gamma * t)
         np.testing.assert_allclose(
-            state.rho,
+            rho,
             [0.3 * np.exp(-0.5 * gamma * t),
              -0.2 * np.exp(-0.5 * gamma * t),
              rho0 + (-0.1 - rho0) * decay],
             atol=1e-12)
-    assert purity(traj.states[-1]) == pytest.approx(
-        purity(CoherenceVector(2, traj.states[-1].rho)))
+    assert traj.purities[-1] == pytest.approx(
+        purity(CoherenceVector(2, traj.states[-1])))
 
 
 def test_bloch_precession_with_control():
@@ -59,7 +59,7 @@ def test_bloch_precession_with_control():
     traj = propagate(system, PiecewiseControl.constant([0.0, 0.0, 1.0],
                                                        np.pi / 2),
                      v0, samples_per_segment=8)
-    np.testing.assert_allclose(traj.states[-1].rho, [0.0, 0.5, 0.0],
+    np.testing.assert_allclose(traj.states[-1], [0.0, 0.5, 0.0],
                                atol=1e-12)
     np.testing.assert_allclose(traj.purities, 0.75, atol=1e-12)
 
@@ -84,7 +84,7 @@ def test_depolarizing_norm_law_under_any_control():
     for _ in range(5):
         ctrl = random_piecewise(rng, 1.0, 3, bound=5.0)
         traj = propagate(system, ctrl, v0)
-        norms = np.array([s.norm() for s in traj.states])
+        norms = np.linalg.norm(traj.states, axis=1)
         np.testing.assert_allclose(
             norms, v0.norm() * np.exp(-2.0 * gamma * traj.times), atol=1e-12)
 
@@ -96,7 +96,7 @@ def test_purity_rate_centered_difference():
         v = CoherenceVector(2, [0.25, -0.15, 0.35])
         traj = propagate(system, PiecewiseControl.zero(3, 2.0 * h), v,
                          samples_per_segment=2)
-        midpoint = traj.states[1]
+        midpoint = CoherenceVector(2, traj.states[1])
         fd = (traj.purities[2] - traj.purities[0]) / (2.0 * h)
         rate = purity_rate(system, midpoint)
         assert rate == pytest.approx(fd, rel=1e-7)

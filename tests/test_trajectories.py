@@ -34,10 +34,6 @@ def _physical_state(rng, N):
     return to_coherence(m / np.trace(m).real, gellmann_basis(N))
 
 
-def _states(traj):
-    return np.array([s.rho for s in traj.states])
-
-
 @pytest.fixture(scope="module", params=[2, 3, 4, 5])
 def case(request):
     """A random system, control and physical start, with both flows."""
@@ -59,7 +55,7 @@ def test_states_match_density_matrix_flow(case):
     times, states, _ = case["oracle"]
     traj = case["traj"]
     np.testing.assert_allclose(traj.times, times, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(_states(traj), states, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(traj.states, states, rtol=0, atol=1e-11)
 
 
 def test_purities_match_density_matrix_flow(case):
@@ -84,7 +80,7 @@ def test_purity_rate_matches_centered_difference_of_the_oracle(case):
     # the oracle's purities at t - h, t, t + h around a recorded state
     h = 1e-5
     traj = case["traj"]
-    start = CoherenceVector(case["N"], _states(traj)[len(traj.times) // 2])
+    start = CoherenceVector(case["N"], traj.states[len(traj.times) // 2])
     args = case["h0"], case["controls"], case["dissipator"], case["basis"]
     _, _, purities = flow_states(*args, PiecewiseControl.zero(2, 2.0 * h),
                                  start, 2)
@@ -106,8 +102,8 @@ def test_long_zero_control_run_approaches_fixed_point(case):
     times, states, _ = flow_states(case["h0"], case["controls"],
                                    case["dissipator"], case["basis"], control,
                                    case["v0"], 40)
-    np.testing.assert_allclose(_states(traj), states, rtol=0, atol=1e-10)
-    dist = np.linalg.norm(_states(traj) - fp.rho, axis=1)
+    np.testing.assert_allclose(traj.states, states, rtol=0, atol=1e-10)
+    dist = np.linalg.norm(traj.states - fp.rho, axis=1)
     oracle_dist = np.linalg.norm(states - fp.rho, axis=1)
     assert dist[0] > 1e-3
     assert dist[-1] < 1e-9 and oracle_dist[-1] < 1e-9
@@ -126,7 +122,7 @@ def test_recorded_states_stay_physical(N):
         v0 = _physical_state(rng, N)
         traj = propagate(system, random_piecewise(rng, 2.0, 2, bound=3.0),
                          v0, samples_per_segment=10)
-        for rho in _states(traj):
+        for rho in traj.states:
             report = is_physical(CoherenceVector(N, rho, tol=np.inf))
             assert report.is_physical, report
             worst = min(worst, report.min_eigenvalue)
@@ -165,3 +161,12 @@ def test_propagate_rejects_a_wrong_amplitude_count():
                                              "Hamiltonians$" % q):
             propagate(system, PiecewiseControl.zero(q, 1.0),
                       CoherenceVector(3, np.zeros(8)))
+
+
+def test_sample_reachable_rejects_a_state_of_another_dimension():
+    # a qubit system and an N=3 state: a ValueError, not a broadcast error
+    _, _, _, system = _random_case(8502, 2)
+    with pytest.raises(ValueError, match="^initial state dimension does not "
+                                         "match the system$"):
+        sample_reachable(system, CoherenceVector(3, np.zeros(8)), 1.0,
+                         num_samples=4)
