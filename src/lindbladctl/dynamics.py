@@ -201,7 +201,7 @@ def _check_ball(sq, N, where):
     """Raise BallExitError for the first squared norm in sq beyond the ball
     (a nan, from an overflowed state, too); where(i) names state i."""
     excess = sq - (1.0 - 1.0 / N)
-    if not excess.max(initial=-np.inf) <= BALL_EXIT_TOL:
+    if not excess.max() <= BALL_EXIT_TOL:
         i = int(np.argmax(~(excess <= BALL_EXIT_TOL)))
         raise BallExitError(
             "state left the coherence ball (%s): ||rho||^2 exceeds 1 - 1/N "
