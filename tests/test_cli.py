@@ -276,7 +276,7 @@ def test_preset_command(tmp_path):
     assert doc.preset["params"]["gamma"] == 0.8
 
 
-def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
     # good calls and a rejected one share one parser, and each call starts
     # from the defaults
     from lindbladctl import cli
