@@ -226,6 +226,10 @@ class SystemDocument:
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise CliParseError("field '%s': expected an %d x %d matrix"
                                     % (name, n, n))
+        for name, rows in (("h0", (self.h0,)), ("controls", self.controls),
+                           ("A_real", self.a_real), ("A_imag", self.a_imag)):
+            if not all(math.isfinite(x) for row in rows for x in row):
+                raise CliParseError("field '%s': non-finite number" % name)
         GksMatrix.from_real_imag(self.a_real, self.a_imag)
 
     @classmethod
@@ -252,7 +256,11 @@ class SystemDocument:
                 raise CliParseError("field 'preset': expected an object with "
                                     "'name' and optional 'params'")
         try:
-            return cls(N=int(data["N"]), h0=data["h0"],
+            N = int(data["N"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CliParseError("field 'N': %s" % exc) from exc
+        try:
+            return cls(N=N, h0=data["h0"],
                        controls=data["controls"], a_real=data["A_real"],
                        a_imag=data["A_imag"], preset=preset_block)
         except (TypeError, ValueError) as exc:

@@ -7,14 +7,14 @@ numerical orthonormalization, classifies the resulting algebra, and emits
 machine-checkable certificates of noncontrollability that hold whenever the
 dissipative part is nonzero.
 
-accessibility decides the common case without the affine closure: when the
-controls alone generate ad su(N), the algebra is Lie{ad su(N), D} for the
-dissipator D, and one n x n closure of the linear parts settles it (see
+accessibility takes one route per input.  When the controls alone generate
+ad su(N), the algebra is Lie{ad su(N), D} for the dissipator D, and one
+n x n closure of the linear parts decides it, every label included (see
 accessibility).  Every other system goes through closure and classify.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -47,8 +47,9 @@ class ControlSystem:
     gks : the GksMatrix behind the dissipator, when known.
     admissible : True when the GKS matrix is positive semidefinite.
 
-    The total drift is hamiltonian + dissipator; the two parts are kept
-    separate because the certificates depend on the dissipator alone.
+    The total drift, hamiltonian + dissipator, is computed once into the
+    drift field; the two parts are kept separate because the certificates
+    depend on the dissipator alone.
     """
 
     N: int
@@ -57,6 +58,7 @@ class ControlSystem:
     dissipator: AffineGenerator
     gks: object = None
     admissible: bool = True
+    drift: AffineGenerator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "controls", tuple(self.controls))
@@ -77,10 +79,7 @@ class ControlSystem:
         if self.dissipator.n != n:
             raise ValueError("dissipator has dimension %d, expected %d"
                              % (self.dissipator.n, n))
-
-    @property
-    def drift(self):
-        return self.hamiltonian + self.dissipator
+        object.__setattr__(self, "drift", self.hamiltonian + self.dissipator)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +199,8 @@ def closure(generators, tol=1e-9, max_generations=8):
     rows.flags.writeable = False
     stack = rows.reshape(-1, m, m)
     features = _features(stack, tol)
-    label = _label(stack, features, tol) if converged else None
+    label = (_label(stack[:, 1:, 1:], features, tol) if converged
+             else None)
     return LieClosure(rows=rows, generations=generations, converged=converged,
                       classification=label, n=n, features=features)
 
@@ -217,9 +217,10 @@ def _features(stack, tol):
     return p, len(stack) - p, bool(np.linalg.norm(traces) > tol)
 
 
-def _label(stack, features, tol):
+def _label(linear, features, tol):
+    """Taxonomy label from features and a (dim, n, n) stack of linear parts."""
     p, q, has_trace = features
-    n = stack.shape[1] - 1
+    n = linear.shape[1]
 
     if q == 0:
         suffix = ""
@@ -229,7 +230,6 @@ def _label(stack, features, tol):
         return "other"
 
     def max_sym_defect(remove_trace):
-        linear = stack[:, 1:, 1:]
         sym = 0.5 * (linear + linear.transpose(0, 2, 1))
         if remove_trace:
             traces = np.trace(sym, axis1=1, axis2=2)
@@ -271,7 +271,7 @@ def classify(c, tol=1e-9):
     if not c.converged:
         raise ValueError("cannot classify an unconverged closure")
     stack = c.rows.reshape(-1, c.n + 1, c.n + 1)
-    return _label(stack, _features(stack, tol), tol)
+    return _label(stack[:, 1:, 1:], _features(stack, tol), tol)
 
 
 class AccessibilityReport(NamedTuple):
@@ -288,53 +288,58 @@ def accessibility(system, tol=1e-9, max_generations=8):
 
     The system is accessible iff the closure is gl(n) or gl(n) x R^n.
     accessible is None (unknown) when the closure ran out of its generation
-    budget.
+    budget.  The input picks the route; both report the features, size
+    and label of the whole algebra at the same tol.
 
-    When the controls alone generate ad su(N) (their n x n closure reaches
-    dimension n), the Hamiltonian drift lies in it, so the algebra is
-    Lie{ad su(N), D} for the dissipator D.  Projection onto linear parts is
-    a Lie homomorphism, so p is the dimension of the n x n closure of the
-    ad su(N) rows and D.linear / |D.linear|: the count of its orthonormal
-    rows, with no rate scale left in it.  When p = n^2 the translation
-    ideal is 0 or all of R^n, and it is 0 iff every element fixes a common
-    point; ad su(N) fixes only 0, so q = 0 iff |D.translation| <= tol * |D|.
-    The report then reads gl(n) or gl(n) x R^n with has_trace True,
-    closure_dim p + q, and generations counting the rounds of the n x n
-    closure with D.  Every other system (see _gl_generations) gets the
-    affine closure and the features and label it computed at the same tol.
+    When the controls alone generate ad su(N) (see _ad_su_rows), the
+    Hamiltonian drift lies in it, so the algebra is Lie{ad su(N), D} for
+    the dissipator D.  Projection onto linear parts is a Lie homomorphism,
+    so p is the dimension of the n x n closure of the ad su(N) rows and
+    D.linear / |D.linear| (seeded only when |D.linear| > tol * |D|): the
+    count of its orthonormal rows, with no rate scale left in it.  The
+    translation ideal is invariant under ad su(N), which acts irreducibly,
+    so it is 0 or all of R^n; it is 0 iff every element fixes a common
+    point, and ad su(N) fixes only 0, so q = 0 iff |D.translation| <=
+    tol * |D|.  has_trace is read off the rows, closure_dim is p + q, and
+    generations counts the rounds of that n x n closure.  An algebra of
+    dimension n + 1 containing ad su(N) is ad su(N) + RI, so the label's
+    structural checks hold as on the affine route.  Every other system
+    gets the affine closure and its features.
     """
-    generations = _gl_generations(system, tol, max_generations)
-    if generations is not None:
+    su = _ad_su_rows(system, tol, max_generations)
+    if su is None:
+        c = closure([system.drift, *system.controls], tol=tol,
+                    max_generations=max_generations)
+        (p, q, has_trace), dim = c.features, c.dim
+        generations, converged, label = (c.generations, c.converged,
+                                         c.classification)
+    else:
         n = system.N * system.N - 1
         D = system.dissipator
+        seeds = su
+        if np.linalg.norm(D.linear) > tol * D.norm():
+            seeds = np.vstack([su, D.linear.reshape(1, -1)])
+        rows, generations, converged = _bracket_closure(
+            seeds, _matrix_commutator(n), n * n, tol, max_generations)
+        linear = rows.reshape(-1, n, n)
+        p = len(rows)
         q = 0 if np.linalg.norm(D.translation) <= tol * D.norm() else n
-        features = {"linear_dim": n * n, "translation_dim": q,
-                    "has_trace": True}
-        return AccessibilityReport(True, n * n + q,
-                                   "gl(n) x R^n" if q else "gl(n)",
-                                   generations, True, features)
-    c = closure([system.drift, *system.controls], tol=tol,
-                max_generations=max_generations)
-    p, q, has_trace = c.features
-    features = {
-        "linear_dim": p,
-        "translation_dim": q,
-        "has_trace": has_trace,
-    }
-    accessible = (c.classification in ACCESSIBLE_LABELS if c.converged
-                  else None)
-    return AccessibilityReport(accessible, c.dim, c.classification,
-                               c.generations, c.converged, features)
+        dim = p + q
+        traces = np.trace(linear, axis1=1, axis2=2)
+        has_trace = bool(np.linalg.norm(traces) > tol)
+        label = (_label(linear, (p, q, has_trace), tol) if converged
+                 else None)
+    features = {"linear_dim": p, "translation_dim": q, "has_trace": has_trace}
+    accessible = label in ACCESSIBLE_LABELS if converged else None
+    return AccessibilityReport(accessible, dim, label, generations,
+                               converged, features)
 
 
-def _gl_generations(system, tol, max_generations):
-    """Rounds for Lie{ad su(N), D.linear} to reach gl(n), else None.
+def _ad_su_rows(system, tol, max_generations):
+    """Orthonormal flat n x n rows of ad su(N) spanned by the controls.
 
-    None when there are no controls, when |D.linear| <= tol * |D| (its
-    direction would be rounding noise), when the controls' linear parts do
-    not close to dimension n, when those n rows do not stand for ad su(N),
-    or when the closure with D.linear stops short of n^2 within the budget.
-
+    None when there are no controls, when the controls' linear parts do not
+    close to dimension n, or when those n rows do not stand for ad su(N).
     The rows stand for ad su(N) when the Hamiltonian lies in their span and
     the sum of R^T R over them is the identity to tol.  ad su(N) acts
     absolutely irreducibly, so that sum is I for any orthonormal basis of
@@ -342,14 +347,12 @@ def _gl_generations(system, tol, max_generations):
     Hamiltonian drift and controls always pass; other skew generators may
     not, and then take the affine route.
     """
-    n = system.N * system.N - 1
-    D = system.dissipator
-    if not system.controls or np.linalg.norm(D.linear) <= tol * D.norm():
+    if not system.controls:
         return None
-    commutator = _matrix_commutator(n)
+    n = system.N * system.N - 1
     su, _, _ = _bracket_closure(
-        np.array([c.linear.ravel() for c in system.controls]), commutator,
-        n, tol, max_generations)
+        np.array([c.linear.ravel() for c in system.controls]),
+        _matrix_commutator(n), n, tol, max_generations)
     if len(su) < n:
         return None
     h = system.hamiltonian.linear.ravel()
@@ -357,10 +360,7 @@ def _gl_generations(system, tol, max_generations):
     if (np.linalg.norm(h - (su @ h) @ su) > tol * np.linalg.norm(h)
             or np.max(np.abs(stacked.T @ stacked - np.eye(n))) > tol):
         return None
-    seeds = np.vstack([su, D.linear.reshape(1, -1)])
-    rows, generations, _ = _bracket_closure(seeds, commutator, n * n, tol,
-                                            max_generations)
-    return generations if len(rows) == n * n else None
+    return su
 
 
 class Certificate(NamedTuple):

@@ -43,7 +43,7 @@ class CoherenceVector:
         if rho.shape != (n,):
             raise ValueError("rho must have length %d for N=%d" % (n, N))
         excess = float(rho @ rho) - (1.0 - 1.0 / N)
-        if excess > tol:
+        if not excess <= tol:
             raise ValueError(
                 "coherence vector lies outside the ball: ||rho||^2 exceeds "
                 "1 - 1/N by %.3e" % excess)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindbladctl import AffineGenerator, bracket
 
@@ -86,6 +88,20 @@ def test_jacobi_identity():
     total = (bracket(a, bracket(b, c)) + bracket(b, bracket(c, a))
              + bracket(c, bracket(a, b)))
     assert total.norm() < 1e-12
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       exponent=st.floats(-4.0, 4.0))
+def test_jacobi_identity_property(n, seed, exponent):
+    """The Jacobi identity holds for random generators of any size and
+    scale, to rounding relative to the product of their norms."""
+    rng = np.random.default_rng(seed)
+    a, b, c = (AffineGenerator(10.0 ** exponent * rng.normal(size=(n, n)),
+                               rng.normal(size=n)) for _ in range(3))
+    total = (bracket(a, bracket(b, c)) + bracket(b, bracket(c, a))
+             + bracket(c, bracket(a, b)))
+    assert total.norm() <= 1e-13 * n * a.norm() * b.norm() * c.norm()
 
 
 def test_dimension_mismatch_rejected():

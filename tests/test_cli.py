@@ -221,6 +221,15 @@ def _valid_doc_dict():
     (lambda d: d["A_real"][0].__setitem__(1, 99.0), "symmetric"),
     (lambda d: d["A_imag"][0].__setitem__(0, 1.0), "antisymmetric"),
     (lambda d: d.update(N=1), "N"),
+    (lambda d: d["h0"].__setitem__(0, float("nan")), "'h0': non-finite"),
+    (lambda d: d["controls"][1].__setitem__(2, float("inf")),
+     "'controls': non-finite"),
+    (lambda d: d["A_real"][1].__setitem__(1, float("nan")),
+     "'A_real': non-finite"),
+    (lambda d: d["A_imag"][0].__setitem__(1, float("-inf")),
+     "'A_imag': non-finite"),
+    (lambda d: d.update(N=float("inf")), "'N': cannot convert float inf"),
+    (lambda d: d.update(N=float("nan")), "'N': cannot convert float NaN"),
 ])
 def test_document_validation_errors(mutate, fragment):
     data = _valid_doc_dict()
@@ -244,6 +253,17 @@ def test_document_symmetry_check_is_scale_relative():
 def test_document_bad_json_reports_location():
     with pytest.raises(CliParseError, match="line 1 column"):
         SystemDocument.from_json("{broken")
+
+
+def test_non_finite_document_exits_2(tmp_path, capsys):
+    """json reads NaN and Infinity; a document holding one is bad input."""
+    data = _valid_doc_dict()
+    data["h0"][0] = float("nan")
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(data))
+    for command in ("analyze", "simulate"):
+        assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "error: field 'h0': non-finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +459,7 @@ def test_rho0_validation(tmp_path, capsys):
     assert main(["simulate", str(doc), "--rho0", "0.3,0.4"]) == 2
     assert main(["simulate", str(doc), "--rho0", "9,9,9"]) == 2
     assert main(["simulate", str(doc), "--rho0", "a,b,c"]) == 2
+    assert main(["simulate", str(doc), "--rho0", "nan,0,0"]) == 2
     capsys.readouterr()
 
 

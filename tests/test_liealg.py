@@ -219,6 +219,81 @@ def test_accessibility_does_not_need_the_affine_closure(monkeypatch):
     monkeypatch.setattr(liealg, "closure", no_closure)
     system = _random_system(np.random.default_rng(33), 4)
     assert _verdict(accessibility(system)) == (True, 240, "gl(n) x R^n")
+    # every taxonomy label and every preset document takes the same route
+    for system in _oracle_systems("taxonomy") + _oracle_systems("presets"):
+        accessibility(system)
+
+
+#: The twelve qubit cells of the rate-scale sweep below: the taxonomy
+#: families with their expected (accessible, dim, label), then the presets.
+QUBIT_CELLS = (
+    [(name, two_level_gks(params).entries,
+      (label in liealg.ACCESSIBLE_LABELS, dim, label))
+     for name, params, dim, label in TAXONOMY_CASES]
+    + [(name, preset(name).gks.entries, expected) for name, expected in (
+        ("depolarizing", (False, 4, "ad_su + span(I)")),
+        ("phase_flip", (True, 9, "gl(n)")),
+        ("bit_flip", (True, 9, "gl(n)")),
+        ("bit_phase_flip", (True, 9, "gl(n)")),
+        ("amplitude_damping", (True, 12, "gl(n) x R^n")))])
+
+
+@pytest.mark.parametrize("name, entries, expected", QUBIT_CELLS,
+                         ids=[cell[0] for cell in QUBIT_CELLS])
+def test_qubit_rate_scale_sweep_gives_one_verdict_per_cell(name, entries,
+                                                           expected):
+    """GKS matrix scaled by 10**e for e = -12..12 with h0 = (0.3, 0, 0.1):
+    every label, not only gl(n), reads the same at every scale."""
+    verdicts = {_verdict(accessibility(two_level_system(
+        10.0 ** e * entries, h0=(0.3, 0.0, 0.1)))) for e in range(-12, 13)}
+    assert verdicts == {expected}
+
+
+def _frame(rng, N):
+    """Orthogonal O_jk = tr(lambda_j U lambda_k U^dagger), U random unitary."""
+    lam = np.array(gellmann_basis(N).lambdas)
+    u, _ = np.linalg.qr(rng.normal(size=(N, N))
+                        + 1j * rng.normal(size=(N, N)))
+    return np.einsum("jab,bc,kcd,da->jk", lam, u, lam, u.conj().T).real
+
+
+def _rotated(system, O):
+    def rotate(g):
+        return AffineGenerator(O @ g.linear @ O.T, O @ g.translation)
+    return ControlSystem(N=system.N, hamiltonian=rotate(system.hamiltonian),
+                         controls=tuple(map(rotate, system.controls)),
+                         dissipator=rotate(system.dissipator))
+
+
+#: (N, dissipator) of the frame-invariance property: random complex or real
+#: GKS matrices, and the qubit taxonomy families for the other labels.
+FRAME_CASES = ([(N, kind) for N in (2, 3) for kind in ("complex", "real")]
+               + [(2, params) for _, params, _, _ in TAXONOMY_CASES])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(FRAME_CASES),
+       single_control=st.booleans())
+def test_accessibility_report_is_frame_invariant(seed, case, single_control):
+    """Conjugating every generator by the orthogonal map of a unitary frame
+    change leaves the report unchanged, on the ad su(N) route (all
+    controls) and on the affine route (a single control)."""
+    rng = np.random.default_rng(seed)
+    N, kind = case
+    basis = gellmann_basis(N)
+    if kind in ("complex", "real"):
+        entries = random_psd(rng, basis.n)
+        entries = entries.real if kind == "real" else entries
+    else:
+        entries = two_level_gks(kind).entries
+    h0, *controls = (adjoint_generator(basis, rng.normal(size=basis.n))
+                     for _ in range(2 if single_control else 3))
+    system = ControlSystem(
+        N=N, hamiltonian=h0, controls=controls,
+        dissipator=assemble_dissipator(GksMatrix(entries), basis))
+    assert (liealg._ad_su_rows(system, 1e-9, 8) is None) == single_control
+    assert (accessibility(_rotated(system, _frame(rng, N)))
+            == accessibility(system))
 
 
 def _skew(rng, n, support):

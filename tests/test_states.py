@@ -62,6 +62,12 @@ def test_ball_constraint_enforced():
     CoherenceVector(2, [0.8, 0.0, 0.0], tol=1.0)
 
 
+def test_non_finite_vector_is_outside_the_ball():
+    for rho in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]):
+        with pytest.raises(ValueError, match="outside the ball"):
+            CoherenceVector(2, rho)
+
+
 def test_length_validation():
     with pytest.raises(ValueError):
         CoherenceVector(2, np.zeros(8))
