@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affine import AffineGenerator
-from .dissipator import GksMatrix, assemble_dissipator, check_psd
+from .dissipator import GksMatrix
 from .liealg import ControlSystem
-from .su_basis import adjoint_generator, gellmann_basis
 
 __all__ = ["PRESET_NAMES", "ChannelPreset", "m_matrix", "preset",
            "bloch_hamiltonian"]
@@ -138,13 +137,10 @@ def preset(spec, **params):
     elif params:
         raise TypeError("parameters must be inside the ChannelPreset")
     diss, a = _preset_data(spec.name, spec.gamma)
-    gks = GksMatrix(a)
-    system = ControlSystem(
+    return ControlSystem(
         N=2,
         hamiltonian=bloch_hamiltonian((0.0, 0.0, spec.h03)),
         controls=(_M[1], _M[2], _M[3]),
         dissipator=diss,
-        gks=gks,
-        admissible=check_psd(gks).is_psd,
+        gks=GksMatrix(a),
     )
-    return system

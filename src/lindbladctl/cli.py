@@ -21,7 +21,7 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -183,54 +183,77 @@ def cloud_csv(result):
 # ---------------------------------------------------------------------------
 # System documents
 
-@dataclass(frozen=True)
+def _float_array(name, value):
+    """np.array(value, dtype=float), or CliParseError naming the field."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CliParseError("field '%s': %s" % (name, exc)) from exc
+
+
+def _bad_row(rows, n):
+    """(i, length) of the first row whose length is not n, else None."""
+    try:
+        return next(((i, len(row)) for i, row in enumerate(rows)
+                     if len(row) != n), None)
+    except TypeError:  # not a list of rows
+        return None
+
+
+@dataclass(frozen=True, eq=False)
 class SystemDocument:
     """JSON-serializable description of a controlled master equation.
 
-    h0 and each control are real lambda-coefficient vectors of length
-    N^2 - 1; the GKS matrix is stored as a symmetric real part and an
-    antisymmetric imaginary part.  An optional preset block records the
-    named channel the document was generated from.
+    The fields are read-only float arrays (n = N^2 - 1), converted and
+    checked once: the lambda-coefficients h0 (n,) of the drift and
+    controls (q, n) of the control Hamiltonians, and the symmetric real
+    part a_real and antisymmetric imaginary part a_imag (n, n) of the GKS
+    matrix.  gks is the GksMatrix built from them, which to_control_system
+    reuses.  An optional preset block records the named channel the
+    document was generated from.  Documents compare by identity.
     """
 
     N: int
-    h0: tuple
-    controls: tuple
-    a_real: tuple
-    a_imag: tuple
+    h0: np.ndarray
+    controls: np.ndarray
+    a_real: np.ndarray
+    a_imag: np.ndarray
     preset: object = None
     schema_version: int = SCHEMA_VERSION
+    gks: GksMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h0", tuple(float(x) for x in self.h0))
-        object.__setattr__(self, "controls",
-                           tuple(tuple(float(x) for x in row)
-                                 for row in self.controls))
-        object.__setattr__(self, "a_real",
-                           tuple(tuple(float(x) for x in row)
-                                 for row in self.a_real))
-        object.__setattr__(self, "a_imag",
-                           tuple(tuple(float(x) for x in row)
-                                 for row in self.a_imag))
-        n = self.N * self.N - 1
         if self.N < 2:
             raise CliParseError("field 'N': must be an integer >= 2")
-        if len(self.h0) != n:
-            raise CliParseError("field 'h0': expected length %d, got %d"
-                                % (n, len(self.h0)))
-        for i, row in enumerate(self.controls):
-            if len(row) != n:
-                raise CliParseError("field 'controls[%d]': expected length %d,"
-                                    " got %d" % (i, n, len(row)))
-        for name, mat in (("A_real", self.a_real), ("A_imag", self.a_imag)):
-            if len(mat) != n or any(len(row) != n for row in mat):
+        n = self.N * self.N - 1
+        h0 = _float_array("h0", self.h0)
+        if h0.shape != (n,):
+            raise CliParseError("field 'h0': expected length %d, got %s" % (
+                n, len(h0) if h0.ndim == 1 else "shape %s" % (h0.shape,)))
+        bad = _bad_row(self.controls, n)
+        if bad is not None:
+            raise CliParseError("field 'controls[%d]': expected length %d,"
+                                " got %d" % (bad[0], n, bad[1]))
+        controls = _float_array("controls", self.controls)
+        if controls.ndim != 2 and controls.shape != (0,):
+            raise CliParseError("field 'controls': expected a list of rows "
+                                "of %d numbers" % n)
+        fields = [("h0", "h0", h0), ("controls", "controls",
+                                     controls.reshape(-1, n))]
+        for attr, name in (("a_real", "A_real"), ("a_imag", "A_imag")):
+            value = getattr(self, attr)
+            mat = None if _bad_row(value, n) else _float_array(name, value)
+            if mat is None or mat.shape != (n, n):
                 raise CliParseError("field '%s': expected an %d x %d matrix"
                                     % (name, n, n))
-        for name, rows in (("h0", (self.h0,)), ("controls", self.controls),
-                           ("A_real", self.a_real), ("A_imag", self.a_imag)):
-            if not all(math.isfinite(x) for row in rows for x in row):
+            fields.append((attr, name, mat))
+        for attr, name, arr in fields:
+            if not np.isfinite(arr).all():
                 raise CliParseError("field '%s': non-finite number" % name)
-        GksMatrix.from_real_imag(self.a_real, self.a_imag)
+            arr.flags.writeable = False
+            object.__setattr__(self, attr, arr)
+        object.__setattr__(self, "gks", GksMatrix.from_real_imag(
+            self.a_real, self.a_imag))
 
     @classmethod
     def from_dict(cls, data):
@@ -257,6 +280,8 @@ class SystemDocument:
                                     "'name' and optional 'params'")
         try:
             N = int(data["N"])
+            if isinstance(data["N"], float) and N != data["N"]:
+                raise ValueError("expected an integer, got %r" % data["N"])
         except (TypeError, ValueError, OverflowError) as exc:
             raise CliParseError("field 'N': %s" % exc) from exc
         try:
@@ -297,10 +322,9 @@ class SystemDocument:
         s = 1.0 / np.sqrt(2.0)
         return cls(
             N=2,
-            h0=(0.0, 0.0, spec.h03 * s),
-            controls=((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, s)),
-            a_real=tuple(map(tuple, np.asarray(a).real)),
-            a_imag=tuple(map(tuple, np.asarray(a).imag)),
+            h0=np.array([0.0, 0.0, spec.h03 * s]),
+            controls=np.eye(3) * s,
+            a_real=a.real, a_imag=a.imag,
             preset={"name": spec.name,
                     "params": {"gamma": spec.gamma, "h03": spec.h03}},
         )
@@ -309,10 +333,10 @@ class SystemDocument:
         doc = {
             "schema_version": self.schema_version,
             "N": self.N,
-            "h0": list(self.h0),
-            "controls": [list(row) for row in self.controls],
-            "A_real": [list(row) for row in self.a_real],
-            "A_imag": [list(row) for row in self.a_imag],
+            "h0": self.h0.tolist(),
+            "controls": self.controls.tolist(),
+            "A_real": self.a_real.tolist(),
+            "A_imag": self.a_imag.tolist(),
         }
         if self.preset is not None:
             doc["preset"] = self.preset
@@ -322,18 +346,15 @@ class SystemDocument:
         return dumps_report(self.to_dict())
 
     def to_control_system(self):
-        """Build the ControlSystem: generators from coefficients, GKS check."""
+        """Build the ControlSystem: generators from the coefficients."""
         basis = gellmann_basis(self.N)
-        gks = GksMatrix.from_real_imag(np.array(self.a_real),
-                                       np.array(self.a_imag))
         return ControlSystem(
             N=self.N,
-            hamiltonian=adjoint_generator(basis, np.array(self.h0)),
-            controls=tuple(adjoint_generator(basis, np.array(row))
+            hamiltonian=adjoint_generator(basis, self.h0),
+            controls=tuple(adjoint_generator(basis, row)
                            for row in self.controls),
-            dissipator=assemble_dissipator(gks, basis),
-            gks=gks,
-            admissible=check_psd(gks).is_psd,
+            dissipator=assemble_dissipator(self.gks, basis),
+            gks=self.gks,
         )
 
 
@@ -438,9 +459,11 @@ def _parse_control(text, num_controls, horizon):
     return control
 
 
-def _require_admissible(system, permissive):
+def _admissible_system(path, permissive):
+    """The document's system, unless it is inadmissible and not permissive."""
+    system = SystemDocument.load(path).to_control_system()
     if system.admissible or permissive:
-        return
+        return system
     raise InadmissibleSystemError(
         "the GKS matrix is not positive semidefinite (min eigenvalue %.3e); "
         "rerun with --permissive to proceed anyway"
@@ -455,10 +478,9 @@ def _analyze_report(doc, tol):
     acc = accessibility(system, tol=tol)
     certs = noncontrollability_certificates(system)
     fp = fixed_point(system.drift)
-    if doc.controls:
-        ham = hamiltonian_controllability(
-            gellmann_basis(doc.N), np.array(doc.h0),
-            [np.array(row) for row in doc.controls], tol=tol)
+    if len(doc.controls):
+        ham = hamiltonian_controllability(gellmann_basis(doc.N), doc.h0,
+                                          doc.controls, tol=tol)
         ham_block = {"controllable": ham.controllable, "dim": ham.dim}
     else:
         ham_block = None
@@ -535,9 +557,7 @@ def cmd_analyze(path, out=None, tol=1e-9, permissive=False):
 
 def cmd_simulate(path, control=None, rho0=None, horizon=None, samples=20,
                  out=None, permissive=False):
-    doc = SystemDocument.load(path)
-    system = doc.to_control_system()
-    _require_admissible(system, permissive)
+    system = _admissible_system(path, permissive)
     if horizon is None and control is None:
         horizon = 1.0
     ctrl = _parse_control(control, len(system.controls), horizon)
@@ -550,9 +570,7 @@ def cmd_simulate(path, control=None, rho0=None, horizon=None, samples=20,
 
 def cmd_reachable(path, rho0=None, horizon=1.0, samples=500, seed=0,
                   control_bound=10.0, out=None, permissive=False):
-    doc = SystemDocument.load(path)
-    system = doc.to_control_system()
-    _require_admissible(system, permissive)
+    system = _admissible_system(path, permissive)
     v0 = _parse_rho0(rho0, system.N)
     with _flag_values():
         result = sample_reachable(system, v0, horizon, num_samples=samples,

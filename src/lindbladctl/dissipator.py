@@ -98,10 +98,9 @@ def assemble_dissipator(A, basis):
     n, N = basis.n, basis.N
     if entries.shape != (n, n):
         raise ValueError("A must be %d x %d" % (n, n))
-    lams = np.array(basis.lambdas)
-    vecs = lams.reshape(n, N * N)
+    vecs = basis.lambdas.reshape(n, N * N)
     c = (entries @ vecs).reshape(n, N, N)        # c_j = sum_k a_jk lambda_k
-    K = np.einsum("jab,jbc->ac", c, lams)        # sum_jk a_jk lambda_k lambda_j
+    K = np.einsum("jab,jbc->ac", c, basis.lambdas)  # sum_jk a_jk lambda_k lambda_j
     # sum_jk a_jk lambda_j X lambda_k maps X[b, c] to out[a, d] with weight
     # sum_j lambda_j[a, b] c_j[c, d].
     jump = (vecs.T @ c.reshape(n, N * N)).reshape(N, N, N, N)

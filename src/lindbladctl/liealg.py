@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .affine import AffineGenerator, bracket
-from .dissipator import _scaled_tol, fixed_point, is_unital
+from .dissipator import _scaled_tol, check_psd, fixed_point, is_unital
 from .states import purity
 
 __all__ = ["ControlSystem", "LieClosure", "bracket", "closure", "classify",
@@ -45,11 +45,11 @@ class ControlSystem:
     controls : tuple of AffineGenerators of the control Hamiltonians.
     dissipator : AffineGenerator of the dissipative part.
     gks : the GksMatrix behind the dissipator, when known.
-    admissible : True when the GKS matrix is positive semidefinite.
 
-    The total drift, hamiltonian + dissipator, is computed once into the
-    drift field; the two parts are kept separate because the certificates
-    depend on the dissipator alone.
+    Two fields are derived once, in __post_init__.  admissible is True
+    when gks is None or positive semidefinite (check_psd).  drift is the
+    total drift, hamiltonian + dissipator; the two parts are kept separate
+    because the certificates depend on the dissipator alone.
     """
 
     N: int
@@ -57,7 +57,7 @@ class ControlSystem:
     controls: tuple
     dissipator: AffineGenerator
     gks: object = None
-    admissible: bool = True
+    admissible: bool = field(init=False)
     drift: AffineGenerator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -79,6 +79,8 @@ class ControlSystem:
         if self.dissipator.n != n:
             raise ValueError("dissipator has dimension %d, expected %d"
                              % (self.dissipator.n, n))
+        object.__setattr__(self, "admissible",
+                           self.gks is None or check_psd(self.gks).is_psd)
         object.__setattr__(self, "drift", self.hamiltonian + self.dissipator)
 
 

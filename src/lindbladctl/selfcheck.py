@@ -10,13 +10,14 @@ assemble_dissipator never forms.
 import numpy as np
 
 from .channels import m_matrix, preset
-from .dissipator import (GksMatrix, assemble_dissipator, check_psd,
-                         fixed_point, two_level_gks)
+from .cli import SystemDocument
+from .dissipator import (GksMatrix, assemble_dissipator, fixed_point,
+                         two_level_gks)
 from .dynamics import PiecewiseControl, determinant_check, propagate
-from .liealg import (ACCESSIBLE_LABELS, ControlSystem, accessibility,
+from .liealg import (ACCESSIBLE_LABELS, accessibility,
                      hamiltonian_controllability, verify_structure_constants)
 from .states import CoherenceVector, purity
-from .su_basis import adjoint_generator, gellmann_basis, structure_tensors
+from .su_basis import gellmann_basis, structure_tensors
 
 #: Representative coefficient families of the two-level taxonomy:
 #: (name, (a4..a12), expected closure dim, expected label).  The closure is
@@ -50,18 +51,10 @@ GENERATOR_CASES = (
 
 def two_level_system(entries, h0=(0.0, 0.0, 0.0)):
     """Qubit system for a 3 x 3 GKS matrix; controls: the axis rotations."""
-    basis = gellmann_basis(2)
-    gks = GksMatrix(entries)
-    s = 1.0 / np.sqrt(2.0)
-    return ControlSystem(
-        N=2,
-        hamiltonian=adjoint_generator(basis, np.asarray(h0, dtype=float)),
-        controls=tuple(adjoint_generator(basis, s * np.eye(3)[k])
-                       for k in range(3)),
-        dissipator=assemble_dissipator(gks, basis),
-        gks=gks,
-        admissible=check_psd(gks).is_psd,
-    )
+    entries = np.asarray(entries, dtype=complex)
+    return SystemDocument(N=2, h0=h0, controls=np.eye(3) / np.sqrt(2.0),
+                          a_real=entries.real,
+                          a_imag=entries.imag).to_control_system()
 
 
 def paper_Ljk(basis):

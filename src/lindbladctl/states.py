@@ -91,7 +91,7 @@ def to_coherence(rho_matrix, basis):
     if abs(np.trace(rho_matrix).real - 1.0) > 1e-10 or abs(np.trace(rho_matrix).imag) > 1e-10:
         raise ValueError("matrix trace must equal 1 to 1e-10")
     # tr(rho lambda_j) = sum_ab rho_ab (lambda_j)_ba for every j at once
-    coeffs = np.einsum("ab,jba->j", rho_matrix, np.array(basis.lambdas)).real
+    coeffs = np.einsum("ab,jba->j", rho_matrix, basis.lambdas).real
     return CoherenceVector(N, coeffs)
 
 
@@ -103,7 +103,7 @@ def from_coherence(v, basis):
     # The leading-axis sum adds the terms in index order, bit-identical to
     # a term-by-term loop (analyze prints an eigenvalue to 17 digits).
     terms = np.concatenate([(v.rho0 * basis.lambda0)[None],
-                            v.rho[:, None, None] * np.array(basis.lambdas)])
+                            v.rho[:, None, None] * basis.lambdas])
     return terms.sum(axis=0)
 
 

@@ -40,41 +40,31 @@ class HermitianBasis:
     N : Hilbert-space dimension.
     n : number of traceless basis elements, N^2 - 1.
     lambda0 : the normalized identity I/sqrt(N).
-    lambdas : tuple of the n traceless basis matrices.
+    lambdas : the n traceless basis matrices, one (n, N, N) array.
     f : antisymmetric structure tensor of shape (n, n, n).
     """
 
     N: int
     n: int
     lambda0: np.ndarray
-    lambdas: tuple
+    lambdas: np.ndarray
     f: np.ndarray = field(repr=False)
 
 
 def _gellmann_matrices(N):
-    """The traceless generalized Gell-Mann matrices, unit Frobenius norm."""
-    mats = []
-    # Symmetric off-diagonal: (E_jk + E_kj)/sqrt(2) for j < k.
-    for j in range(N):
-        for k in range(j + 1, N):
-            m = np.zeros((N, N), dtype=complex)
-            m[j, k] = 1.0
-            m[k, j] = 1.0
-            mats.append(m / np.sqrt(2.0))
-    # Antisymmetric off-diagonal: -i(E_jk - E_kj)/sqrt(2) for j < k.
-    for j in range(N):
-        for k in range(j + 1, N):
-            m = np.zeros((N, N), dtype=complex)
-            m[j, k] = -1.0j
-            m[k, j] = 1.0j
-            mats.append(m / np.sqrt(2.0))
-    # Diagonal: diag(1, ..., 1, -l, 0, ..., 0)/sqrt(l(l+1)).
-    for l in range(1, N):
-        m = np.zeros((N, N), dtype=complex)
-        for i in range(l):
-            m[i, i] = 1.0
-        m[l, l] = -float(l)
-        mats.append(m / np.sqrt(l * (l + 1.0)))
+    """The traceless Gell-Mann matrices of unit norm, one (n, N, N) array."""
+    j, k = np.triu_indices(N, 1)   # j < k in lexicographic order
+    p = len(j)
+    off = np.arange(p)
+    mats = np.zeros((2 * p + N - 1, N, N), dtype=complex)
+    # (E_jk + E_kj)/sqrt(2), then -i(E_jk - E_kj)/sqrt(2)
+    mats[off, j, k] = mats[off, k, j] = 1.0
+    mats[p + off, j, k], mats[p + off, k, j] = -1.0j, 1.0j
+    mats[:2 * p] /= np.sqrt(2.0)
+    # diag(1, ..., 1, -l, 0, ..., 0)/sqrt(l(l+1)) for l = 1..N-1
+    l, i = np.arange(1, N)[:, None], np.arange(N)
+    mats[2 * p:, i, i] = (i < l) - l * (i == l)
+    mats[2 * p:] /= np.sqrt(l * (l + 1.0))[:, None]
     return mats
 
 
@@ -102,14 +92,13 @@ def gellmann_basis(N):
     if not isinstance(N, (int, np.integer)) or N < 2:
         raise ValueError("N must be an integer >= 2")
     N = int(N)
-    mats = _gellmann_matrices(N)
-    stacked = np.array(mats)
-    f, _ = _structure_from_matrices(stacked)
+    lambdas = _gellmann_matrices(N)
+    f, _ = _structure_from_matrices(lambdas)
     lambda0 = np.eye(N, dtype=complex) / np.sqrt(N)
-    for arr in (lambda0, f, *mats):
+    for arr in (lambda0, f, lambdas):
         arr.flags.writeable = False
     return HermitianBasis(N=N, n=N * N - 1, lambda0=lambda0,
-                          lambdas=tuple(mats), f=f)
+                          lambdas=lambdas, f=f)
 
 
 def structure_tensors(basis):
@@ -118,7 +107,7 @@ def structure_tensors(basis):
     f shares its code with basis.f; the independent checks are the
     commutator and anticommutator expansions in the module docstring.
     """
-    return _structure_from_matrices(np.array(basis.lambdas))
+    return _structure_from_matrices(basis.lambdas)
 
 
 def adjoint_generator(basis, h):

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import random_psd
 from lindbladctl.cli import (TOLERANCES, CliParseError, SystemDocument,
@@ -190,7 +192,9 @@ def test_cli_import_does_not_load_scipy():
 def test_document_round_trip_preserves_fields():
     doc = SystemDocument.from_preset("amplitude_damping", gamma=0.8, h03=0.4)
     again = SystemDocument.from_json(doc.to_json())
-    assert again == doc
+    assert again.to_json() == doc.to_json()
+    for name in ("h0", "controls", "a_real", "a_imag"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(doc, name))
     assert again.preset["name"] == "amplitude_damping"
     assert again.preset["params"]["gamma"] == 0.8
 
@@ -230,12 +234,97 @@ def _valid_doc_dict():
      "'A_imag': non-finite"),
     (lambda d: d.update(N=float("inf")), "'N': cannot convert float inf"),
     (lambda d: d.update(N=float("nan")), "'N': cannot convert float NaN"),
+    (lambda d: d.update(N=2.9), "'N': expected an integer, got 2.9"),
+    # integers too large for a double
+    (lambda d: d["h0"].__setitem__(0, 10 ** 400), "'h0': int too large"),
+    (lambda d: d["controls"][1].__setitem__(0, -10 ** 400),
+     "'controls': int too large"),
+    (lambda d: d["A_real"][2].__setitem__(2, 10 ** 400),
+     "'A_real': int too large"),
+    (lambda d: d["A_imag"][0].__setitem__(0, 10 ** 400),
+     "'A_imag': int too large"),
+    # null, a bare number and a flat list where rows are expected
+    (lambda d: d.update(h0=None), r"'h0': expected length 3, got shape \("),
+    (lambda d: d.update(h0=0.5), r"'h0': expected length 3, got shape \("),
+    (lambda d: d.update(controls=None), "'controls': expected a list of rows"),
+    (lambda d: d.update(controls=0.5), "'controls': expected a list of rows"),
+    (lambda d: d.update(controls=[0.1, 0.2, 0.3]),
+     "'controls': expected a list of rows"),
+    (lambda d: d["controls"][1].pop(),
+     r"'controls\[1\]': expected length 3, got 2"),
+    (lambda d: d.update(A_real=None), "'A_real': expected an 3 x 3 matrix"),
+    (lambda d: d.update(A_imag=0.5), "'A_imag': expected an 3 x 3 matrix"),
+    (lambda d: d["A_real"][1].pop(), "'A_real': expected an 3 x 3 matrix"),
 ])
 def test_document_validation_errors(mutate, fragment):
     data = _valid_doc_dict()
     mutate(data)
     with pytest.raises(CliParseError, match=fragment):
         SystemDocument.from_dict(data)
+
+
+@pytest.mark.parametrize("N", [2, 2.0, "2"])
+def test_document_accepts_integral_N(N):
+    data = _valid_doc_dict()
+    data["N"] = N
+    assert SystemDocument.from_dict(data).N == 2
+
+
+#: A document coefficient: an integer-valued float, -0.0, or any finite
+#: double of moderate size.
+_coefficients = st.one_of(
+    st.integers(-5, 5).map(float), st.just(-0.0),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _document_texts(draw):
+    N = draw(st.integers(2, 4))
+    n = N * N - 1
+    h0 = draw(st.lists(_coefficients, min_size=n, max_size=n))
+    q = draw(st.integers(0, 3))
+    controls = draw(st.lists(st.lists(_coefficients, min_size=n, max_size=n),
+                             min_size=q, max_size=q))
+    upper = np.array(draw(st.lists(_coefficients, min_size=n * n,
+                                   max_size=n * n))).reshape(n, n)
+    real, imag = np.triu(upper), np.triu(upper, 1)
+    return SystemDocument(N=N, h0=h0,
+                          controls=np.array(controls).reshape(q, n),
+                          a_real=real + np.triu(real, 1).T,
+                          a_imag=imag - imag.T).to_json()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_document_texts())
+def test_document_json_round_trip_property(text):
+    assert SystemDocument.from_json(text).to_json() == text
+
+
+def test_document_fields_are_read_only_arrays():
+    doc = _random_n3_document(np.random.default_rng(5))
+    shapes = {"h0": (8,), "controls": (2, 8), "a_real": (8, 8),
+              "a_imag": (8, 8)}
+    for name, shape in shapes.items():
+        arr = getattr(doc, name)
+        assert arr.dtype == float and arr.shape == shape
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert SystemDocument.from_dict(_valid_doc_dict()) != \
+        SystemDocument.from_dict(_valid_doc_dict())  # compared by identity
+
+
+def test_document_builds_its_gks_matrix_once(tmp_path, monkeypatch):
+    from lindbladctl import dissipator
+
+    calls = []
+    real = dissipator.GksMatrix.from_real_imag.__func__
+    monkeypatch.setattr(dissipator.GksMatrix, "from_real_imag", classmethod(
+        lambda cls, *args: calls.append(1) or real(cls, *args)))
+    path = _write_preset_doc(tmp_path, "amplitude_damping", gamma=0.8)
+    calls.clear()
+    system = SystemDocument.load(path).to_control_system()
+    assert calls == [1]
+    assert system.admissible
 
 
 def test_document_symmetry_check_is_scale_relative():
@@ -292,7 +381,8 @@ def test_preset_command(tmp_path):
     assert code == 0
     doc = SystemDocument.load(out)
     s = 1.0 / np.sqrt(2.0)
-    assert doc.controls == ((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, s))
+    np.testing.assert_array_equal(
+        doc.controls, [[s, 0.0, 0.0], [0.0, s, 0.0], [0.0, 0.0, s]])
     assert doc.preset["params"]["gamma"] == 0.8
 
 
@@ -397,6 +487,7 @@ def test_exit_code_3_on_inadmissible(tmp_path, capsys):
     assert main(["analyze", str(doc), "--out", str(out),
                  "--permissive"]) == 0
     assert main(["simulate", str(doc)]) == 3
+    assert main(["reachable", str(doc), "--samples", "5"]) == 3
 
 
 def test_exit_code_4_on_ball_exit(tmp_path, capsys):

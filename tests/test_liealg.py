@@ -410,6 +410,19 @@ def test_control_system_validation():
     np.testing.assert_allclose(system.drift.homogeneous, diss.homogeneous)
 
 
+def test_control_system_admissible_is_derived_from_gks():
+    basis = gellmann_basis(2)
+    a = np.diag([0.0, 0.0, 1.0])
+    diss = assemble_dissipator(GksMatrix(a), basis)
+    fields = dict(N=2, hamiltonian=AffineGenerator.zero(3), controls=(),
+                  dissipator=diss)
+    assert ControlSystem(**fields).admissible is True  # no gks: assumed
+    assert ControlSystem(**fields, gks=GksMatrix(a)).admissible is True
+    assert ControlSystem(**fields, gks=GksMatrix(-a)).admissible is False
+    with pytest.raises(TypeError):
+        ControlSystem(**fields, admissible=True)
+
+
 @pytest.mark.parametrize("N", [3, 4, 7])
 def test_control_system_checks_are_scale_relative(N):
     basis = gellmann_basis(N)

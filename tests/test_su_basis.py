@@ -50,6 +50,33 @@ def test_ordering_symmetric_antisymmetric_diagonal():
     assert basis.lambdas[2][1, 2] == pytest.approx(1.0 / np.sqrt(2.0))
 
 
+def _loop_gellmann(N):
+    """The basis matrices built one entry at a time, in the module's order."""
+    mats = []
+    for entries in (((1.0, 1.0),), ((-1.0j, 1.0j),)):
+        for j in range(N):
+            for k in range(j + 1, N):
+                m = np.zeros((N, N), dtype=complex)
+                m[j, k], m[k, j] = entries[0]
+                mats.append(m / np.sqrt(2.0))
+    for l in range(1, N):
+        m = np.zeros((N, N), dtype=complex)
+        for i in range(l):
+            m[i, i] = 1.0
+        m[l, l] = -float(l)
+        mats.append(m / np.sqrt(l * (l + 1.0)))
+    return np.array(mats)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_basis_is_one_read_only_array_equal_to_the_loop_build(N):
+    lambdas = gellmann_basis(N).lambdas
+    assert lambdas.shape == (N * N - 1, N, N)
+    assert not lambdas.flags.writeable
+    # same bits, signed zeros included
+    assert lambdas.tobytes() == _loop_gellmann(N).tobytes()
+
+
 def test_structure_constant_f_two_level():
     basis = gellmann_basis(2)
     root2 = np.sqrt(2.0)
