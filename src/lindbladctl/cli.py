@@ -184,11 +184,21 @@ def cloud_csv(result):
 # System documents
 
 def _float_array(name, value):
-    """np.array(value, dtype=float), or CliParseError naming the field."""
+    """np.array(value, dtype=float), or CliParseError naming the field.
+
+    A string or a boolean is not a number here, although float() reads
+    "0.5" and true as one.
+    """
     try:
-        return np.array(value, dtype=float)
+        arr = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise CliParseError("field '%s': %s" % (name, exc)) from exc
+    # the conversion succeeded, so value nests regularly
+    items = np.array(value, dtype=object).ravel()
+    if {str, bool} & set(map(type, items)):
+        raise CliParseError("field '%s': expected a number, got %r" % (
+            name, next(x for x in items if type(x) in (str, bool))))
+    return arr
 
 
 def _bad_row(rows, n):
@@ -278,14 +288,15 @@ class SystemDocument:
                     or "name" not in preset_block):
                 raise CliParseError("field 'preset': expected an object with "
                                     "'name' and optional 'params'")
+        N = data["N"]
         try:
-            N = int(data["N"])
-            if isinstance(data["N"], float) and N != data["N"]:
-                raise ValueError("expected an integer, got %r" % data["N"])
-        except (TypeError, ValueError, OverflowError) as exc:
+            if (isinstance(N, bool) or not isinstance(N, (int, float))
+                    or int(N) != N):
+                raise ValueError("expected an integer, got %r" % (N,))
+        except (ValueError, OverflowError) as exc:
             raise CliParseError("field 'N': %s" % exc) from exc
         try:
-            return cls(N=N, h0=data["h0"],
+            return cls(N=int(N), h0=data["h0"],
                        controls=data["controls"], a_real=data["A_real"],
                        a_imag=data["A_imag"], preset=preset_block)
         except (TypeError, ValueError) as exc:

@@ -5,10 +5,11 @@ of matrix exponentials and the state follows exactly (up to roundoff):
 
     rho_bar(t) = g(t) rho_bar(0),   g(t) = expm(G_m tau_m) ... expm(G_1 tau_1).
 
-The determinant of the linear block obeys det g(t) = exp(tr(L_D) t) where
-L_D is the linear part of the dissipator; control Hamiltonians are
-traceless and drop out.  This is the volume-contraction law checked by
-determinant_check.
+Only g(t) rho_bar(0) and det g(t) are read, so g is never formed: the state
+vector advances step by step, and the determinant of the linear block is
+the product of the steps'.  It obeys det g(t) = exp(tr(L_D) t) where L_D is
+the linear part of the dissipator; control Hamiltonians are traceless and
+drop out.  This is the volume-contraction law checked by determinant_check.
 
 The exponentials come from expm, a scaling-and-squaring Taylor routine in
 NumPy that takes a whole stack (..., n, n) at once: one call serves every
@@ -180,7 +181,8 @@ class Trajectory:
 
     Row k of the read-only array states is the coherence vector at times[k]
     (CoherenceVector(N, states[k]) builds the object); dets[k] is det of the
-    propagator's linear block, for determinant_check and the CSV export.
+    propagator's linear block, the product of the determinants of the steps
+    taken so far, for determinant_check and the CSV export.
     """
 
     times: np.ndarray
@@ -213,10 +215,11 @@ def propagate(system, control, rho_init, samples_per_segment=20):
     """Integrate the controlled flow, sampling each segment uniformly.
 
     Piecewise-constant segments integrate exactly: one stacked expm call
-    gives every segment's sub-step propagator, applied samples_per_segment
-    times so intermediate states are recorded.  Raises BallExitError if the
-    state leaves the ball by more than BALL_EXIT_TOL, and ValueError for a
-    state or a control that does not fit the system.
+    gives every segment's sub-step propagator, which advances the state
+    samples_per_segment times so intermediate states are recorded.  Raises
+    BallExitError, naming the first sub-step (the given start is not
+    checked), if the state leaves the ball by more than BALL_EXIT_TOL, and
+    ValueError for a state or a control that does not fit the system.
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
@@ -226,27 +229,22 @@ def propagate(system, control, rho_init, samples_per_segment=20):
     if control.num_controls != q:
         raise ValueError("control has %d amplitudes but the system has %d "
                          "control Hamiltonians" % (control.num_controls, q))
-    tau = np.array([d for d, _ in control.segments]) / samples_per_segment
+    s = samples_per_segment
+    tau = np.array([d for d, _ in control.segments]) / s
     amps = np.array([u for _, u in control.segments]).reshape(len(tau), q)
     steps = expm(_generator_stack(system, amps) * tau[:, None, None])
 
-    bar0 = rho_init.bar
-    size = len(tau) * samples_per_segment + 1
-    times, sq, dets = np.zeros(size), np.empty(size), np.ones(size)
-    states = np.empty((size, len(bar0) - 1))
-    states[0] = rho_init.rho
-    sq[0] = rho_init.rho @ rho_init.rho
-    g = np.eye(len(bar0))
-    t, k = 0.0, 0
-    for step, h in zip(steps, tau.tolist()):
-        for _ in range(samples_per_segment):
-            k += 1
-            g = step @ g
-            times[k] = t = t + h
-            states[k] = (g @ bar0)[1:]
-            sq[k] = states[k] @ states[k]
-            _check_ball(sq[k:k + 1], system.N, lambda i: "t=%.6g" % t)
-            dets[k] = np.linalg.det(g[1:, 1:])
+    bar = np.tile(rho_init.bar, (len(tau) * s + 1, 1))
+    # a state that left the ball may overflow later; the check names the exit
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(bar) - 1):
+            bar[k + 1] = steps[k // s] @ bar[k]
+    times = np.concatenate(([0.0], np.cumsum(np.repeat(tau, s))))
+    states = bar[:, 1:]
+    sq = np.einsum("ij,ij->i", states, states)
+    _check_ball(sq[1:], system.N, lambda i: "t=%.6g" % times[i + 1])
+    dets = np.cumprod(np.concatenate(
+        ([1.0], np.repeat(np.linalg.det(steps[:, 1:, 1:]), s))))
     states.flags.writeable = False
     return Trajectory(times=times, states=states,
                       purities=1.0 / system.N + sq, dets=dets)
@@ -310,7 +308,7 @@ def sample_reachable(system, rho_init, horizon, num_samples=500, seed=0,
 
     Samples advance in blocks of up to _SAMPLE_BLOCK: at each event every
     sample of a block that still has a step to take has it exponentiated in
-    one stacked expm call and multiplied into its propagator; the dt = 0
+    one stacked expm call and applied to its state vector; the dt = 0
     steps that pad samples with fewer events are skipped, which changes no
     bit since expm(0) is exactly I.  Memory is O(_SAMPLE_BLOCK * N^4)
     beyond the returned points.  Raises BallExitError, naming a sample and
@@ -397,7 +395,7 @@ def _sample_block(system, bar0, horizon, grid, seed, samples, control_bound,
     seg_amps = np.take_along_axis(amps, seg[:, :, None], axis=1)
 
     points[:, 0] = bar0[1:]
-    g = np.tile(np.eye(len(bar0)), (num_samples, 1, 1))
+    x = np.tile(bar0, (num_samples, 1))
     nrm = np.full(num_samples, np.linalg.norm(bar0[1:]))
     max_increase = 0.0
     for k in range(events.shape[1]):
@@ -405,8 +403,9 @@ def _sample_block(system, bar0, horizon, grid, seed, samples, control_bound,
         # by expm(0) = I exactly and leave the state as it is.
         act = np.flatnonzero(dt[:, k] > 0.0)
         gen = _generator_stack(system, seg_amps[act, k])
-        g[act] = np.matmul(expm(gen * dt[act, k][:, None, None]), g[act])
-        rho = (g[act] @ bar0)[:, 1:]
+        x[act] = np.matmul(expm(gen * dt[act, k][:, None, None]),
+                           x[act][..., None])[..., 0]
+        rho = x[act, 1:]
         sq = np.einsum("ij,ij->i", rho, rho)
         _check_ball(sq, system.N, lambda i: "sample %d, t=%.6g"
                     % (samples[act[i]], events[act[i], k]))

@@ -235,6 +235,19 @@ def _valid_doc_dict():
     (lambda d: d.update(N=float("inf")), "'N': cannot convert float inf"),
     (lambda d: d.update(N=float("nan")), "'N': cannot convert float NaN"),
     (lambda d: d.update(N=2.9), "'N': expected an integer, got 2.9"),
+    # strings and booleans, which float() and int() would read as numbers
+    (lambda d: d.update(N="2"), "'N': expected an integer, got '2'"),
+    (lambda d: d.update(N=True), "'N': expected an integer, got True"),
+    (lambda d: d["h0"].__setitem__(2, "0.3"),
+     "'h0': expected a number, got '0.3'"),
+    (lambda d: d.update(h0=[True, False, 0]),
+     "'h0': expected a number, got True"),
+    (lambda d: d["controls"][1].__setitem__(0, True),
+     "'controls': expected a number, got True"),
+    (lambda d: d["A_real"][0].__setitem__(0, "0.5"),
+     "'A_real': expected a number, got '0.5'"),
+    (lambda d: d["A_imag"][1].__setitem__(1, False),
+     "'A_imag': expected a number, got False"),
     # integers too large for a double
     (lambda d: d["h0"].__setitem__(0, 10 ** 400), "'h0': int too large"),
     (lambda d: d["controls"][1].__setitem__(0, -10 ** 400),
@@ -263,7 +276,7 @@ def test_document_validation_errors(mutate, fragment):
         SystemDocument.from_dict(data)
 
 
-@pytest.mark.parametrize("N", [2, 2.0, "2"])
+@pytest.mark.parametrize("N", [2, 2.0])
 def test_document_accepts_integral_N(N):
     data = _valid_doc_dict()
     data["N"] = N
@@ -468,12 +481,39 @@ def test_analyze_byte_identical_reruns(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("command, args, suffixes", [
+    ("simulate", ["--control", "[[0.4, [1.5, -0.5]], [0.6, [0.0, 2.0]]]",
+                  "--samples", "7"], [""]),
+    ("reachable", ["--samples", "70", "--seed", "3"],
+     [".csv", ".stats.json"]),
+])
+def test_flow_outputs_byte_identical_reruns(tmp_path, command, args,
+                                            suffixes):
+    doc = tmp_path / "doc.json"
+    doc.write_text(_random_n3_document(np.random.default_rng(11)).to_json())
+    outputs = []
+    for run in ("r1", "r2"):
+        base = tmp_path / run
+        assert main([command, str(doc), *args, "--out", str(base)]) == 0
+        outputs.append([(tmp_path / (run + s)).read_bytes()
+                        for s in suffixes])
+    assert outputs[0] == outputs[1]
+
+
 def test_exit_code_2_on_parse_errors(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert main(["analyze", str(broken)]) == 2
     assert main(["analyze", str(tmp_path / "missing.json")]) == 2
     assert "error:" in capsys.readouterr().err
+    # strings and booleans where numbers belong; the message names the field
+    for field, value in (("N", "2"), ("h0", ["0", "0", "0.3"]),
+                         ("h0", [True, False, 0])):
+        data = _valid_doc_dict()
+        data[field] = value
+        broken.write_text(json.dumps(data))
+        assert main(["analyze", str(broken)]) == 2
+        assert "error: field '%s'" % field in capsys.readouterr().err
 
 
 def test_exit_code_3_on_inadmissible(tmp_path, capsys):

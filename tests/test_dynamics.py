@@ -1,5 +1,6 @@
 """Flows: exact relaxation curves, volume law, purity rate, sampling."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -114,12 +115,44 @@ def test_purity_rate_signs():
         assert purity_rate(dp, v) <= 0
 
 
-def test_ball_exit_raises_for_inadmissible_system():
+@pytest.mark.parametrize("horizon,where,excess", [
+    (10.0, "t=0.5", "2.493e-02"), (1000.0, "t=50", "4.301e+42")],
+    ids=["horizon-10", "horizon-1000"])
+def test_ball_exit_raises_for_inadmissible_system(horizon, where, excess):
+    # the first sub-step outside the ball is named, and a flow that runs on
+    # to overflow afterwards raises no warning on the way (the suite turns
+    # RuntimeWarning into an error)
     entries = np.diag([-1.0, 0.0, 0.0])  # negative rate: norm grows
     system = two_level_system(entries)
-    with pytest.raises(BallExitError):
-        propagate(system, PiecewiseControl.zero(3, 10.0),
+    with pytest.raises(BallExitError, match=r"^state left the coherence "
+                       r"ball \(%s\): \|\|rho\|\|\^2 exceeds 1 - 1/N by %s;"
+                       % (where, re.escape(excess))):
+        propagate(system, PiecewiseControl.zero(3, horizon),
                   CoherenceVector(2, [0.3, 0.0, 0.4]))
+
+
+def test_propagate_takes_one_expm_and_one_det(monkeypatch):
+    # the state advances, not the propagator: one stacked expm for every
+    # segment and one stacked det for every step, at any sub-step count
+    calls = {"expm": 0, "det": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "expm", counted("expm", dynamics.expm))
+    monkeypatch.setattr(np.linalg, "det", counted("det", np.linalg.det))
+    system = preset("amplitude_damping", gamma=0.7, h03=0.3)
+    ctrl = PiecewiseControl(((0.3, [1.0, 0.0, 0.0]), (0.5, [0.0, 2.0, 0.0]),
+                             (0.2, [0.0, 0.0, -1.0])))
+    v0 = CoherenceVector(2, [0.3, -0.2, 0.4])
+    for samples in (1, 20, 200):
+        calls.update(expm=0, det=0)
+        traj = propagate(system, ctrl, v0, samples_per_segment=samples)
+        assert len(traj.times) == 3 * samples + 1
+        assert calls == {"expm": 1, "det": 1}
 
 
 def test_sample_reachable_deterministic_and_order_independent():

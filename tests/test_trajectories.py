@@ -1,4 +1,4 @@
-"""propagate against an independent density-matrix flow, at N = 2..5."""
+"""propagate against an independent density-matrix flow, at N = 2..5 and 7."""
 
 import numpy as np
 import pytest
@@ -34,7 +34,7 @@ def _physical_state(rng, N):
     return to_coherence(m / np.trace(m).real, gellmann_basis(N))
 
 
-@pytest.fixture(scope="module", params=[2, 3, 4, 5])
+@pytest.fixture(scope="module", params=[2, 3, 4, 5, 7])
 def case(request):
     """A random system, control and physical start, with both flows."""
     N = request.param
