@@ -27,6 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .channels import PRESET_NAMES, ChannelPreset
+# check_psd and fixed_point are not called here (ControlSystem keeps their
+# results), but bench/spans.py wraps both by their names in this module.
 from .dissipator import (GksMatrix, assemble_dissipator, check_psd,
                          fixed_point, is_unital, split_trace)
 from .dynamics import (BallExitError, PiecewiseControl, propagate,
@@ -452,6 +454,12 @@ def _parse_control(text, num_controls, horizon):
             raise CliParseError("--control: segment %d must be "
                                 "{\"duration\": ..., \"u\": [...]} or "
                                 "[duration, [...]]" % i)
+        for name, value in (("duration", duration), ("u", u)):
+            try:
+                _float_array(name, value)
+            except CliParseError as exc:
+                raise CliParseError("--control: segment %d: %s"
+                                    % (i, exc)) from exc
         segments.append((duration, u))
     try:
         control = PiecewiseControl(tuple(segments))
@@ -478,17 +486,17 @@ def _admissible_system(path, permissive):
     raise InadmissibleSystemError(
         "the GKS matrix is not positive semidefinite (min eigenvalue %.3e); "
         "rerun with --permissive to proceed anyway"
-        % check_psd(system.gks).min_eigenvalue)
+        % system.psd.min_eigenvalue)
 
 
 def _analyze_report(doc, tol):
     system = doc.to_control_system()
-    psd = check_psd(system.gks)
+    psd = system.psd
     unital = is_unital(system.dissipator)
     alpha, traceless = split_trace(system.dissipator)
     acc = accessibility(system, tol=tol)
     certs = noncontrollability_certificates(system)
-    fp = fixed_point(system.drift)
+    fp = system.fixed_point
     if len(doc.controls):
         ham = hamiltonian_controllability(gellmann_basis(doc.N), doc.h0,
                                           doc.controls, tol=tol)
@@ -575,6 +583,12 @@ def cmd_simulate(path, control=None, rho0=None, horizon=None, samples=20,
     v0 = _parse_rho0(rho0, system.N)
     with _flag_values():
         traj = propagate(system, ctrl, v0, samples_per_segment=samples)
+    overflow = np.flatnonzero(~np.isfinite(traj.dets))
+    if len(overflow):
+        raise FloatingPointError(
+            "det_g is %r at t=%.6g: the volume of the flow overflows a "
+            "double" % (float(traj.dets[overflow[0]]),
+                        traj.times[overflow[0]]))
     _write_output(trajectory_csv(traj), out)
     return 0
 
@@ -744,7 +758,7 @@ def main(argv=None):
     except InadmissibleSystemError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except BallExitError as exc:
+    except (BallExitError, FloatingPointError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
 

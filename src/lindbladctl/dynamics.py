@@ -182,7 +182,8 @@ class Trajectory:
     Row k of the read-only array states is the coherence vector at times[k]
     (CoherenceVector(N, states[k]) builds the object); dets[k] is det of the
     propagator's linear block, the product of the determinants of the steps
-    taken so far, for determinant_check and the CSV export.
+    taken so far, for determinant_check and the CSV export, and inf once
+    it outgrows a double.
     """
 
     times: np.ndarray
@@ -243,8 +244,10 @@ def propagate(system, control, rho_init, samples_per_segment=20):
     states = bar[:, 1:]
     sq = np.einsum("ij,ij->i", states, states)
     _check_ball(sq[1:], system.N, lambda i: "t=%.6g" % times[i + 1])
-    dets = np.cumprod(np.concatenate(
-        ([1.0], np.repeat(np.linalg.det(steps[:, 1:, 1:]), s))))
+    # an expanding (inadmissible) flow can overflow det to inf
+    with np.errstate(over="ignore"):
+        dets = np.cumprod(np.concatenate(
+            ([1.0], np.repeat(np.linalg.det(steps[:, 1:, 1:]), s))))
     states.flags.writeable = False
     return Trajectory(times=times, states=states,
                       purities=1.0 / system.N + sq, dets=dets)

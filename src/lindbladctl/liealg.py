@@ -8,20 +8,25 @@ machine-checkable certificates of noncontrollability that hold whenever the
 dissipative part is nonzero.
 
 accessibility takes one route per input.  When the controls alone generate
-ad su(N), the algebra is Lie{ad su(N), D} for the dissipator D, and one
-n x n closure of the linear parts decides it, every label included (see
-accessibility).  Every other system goes through closure and classify.
+ad su(N), the algebra is Lie{ad su(N), D} for the dissipator D, and its
+linear part is ad su(N) plus whole pieces of gl(n), told apart by their
+Casimir values; a handful of projections and brackets decide which, every
+label included, with no n^2-row closure (see accessibility and
+_piece_closure).  Every other system goes through closure and classify.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .affine import AffineGenerator, bracket
-from .dissipator import _scaled_tol, check_psd, fixed_point, is_unital
+from .dissipator import (PsdReport, _scaled_tol, check_psd, fixed_point,
+                         is_unital)
 from .states import purity
+from .su_basis import gellmann_basis
 
 __all__ = ["ControlSystem", "LieClosure", "bracket", "closure", "classify",
            "accessibility", "AccessibilityReport",
@@ -46,10 +51,13 @@ class ControlSystem:
     dissipator : AffineGenerator of the dissipative part.
     gks : the GksMatrix behind the dissipator, when known.
 
-    Two fields are derived once, in __post_init__.  admissible is True
-    when gks is None or positive semidefinite (check_psd).  drift is the
-    total drift, hamiltonian + dissipator; the two parts are kept separate
-    because the certificates depend on the dissipator alone.
+    Three fields are derived once, in __post_init__.  psd is the
+    check_psd report of gks (None without gks), and admissible is True
+    when gks is None or positive semidefinite.  drift is the total drift,
+    hamiltonian + dissipator; the two parts are kept separate because the
+    certificates depend on the dissipator alone.  fixed_point, the drift's
+    fixed point as dissipator.fixed_point returns it, is computed on first
+    use and kept.
     """
 
     N: int
@@ -57,6 +65,7 @@ class ControlSystem:
     controls: tuple
     dissipator: AffineGenerator
     gks: object = None
+    psd: Optional[PsdReport] = field(init=False, repr=False, compare=False)
     admissible: bool = field(init=False)
     drift: AffineGenerator = field(init=False, repr=False, compare=False)
 
@@ -79,9 +88,15 @@ class ControlSystem:
         if self.dissipator.n != n:
             raise ValueError("dissipator has dimension %d, expected %d"
                              % (self.dissipator.n, n))
-        object.__setattr__(self, "admissible",
-                           self.gks is None or check_psd(self.gks).is_psd)
+        psd = None if self.gks is None else check_psd(self.gks)
+        object.__setattr__(self, "psd", psd)
+        object.__setattr__(self, "admissible", psd is None or psd.is_psd)
         object.__setattr__(self, "drift", self.hamiltonian + self.dissipator)
+
+    @cached_property
+    def fixed_point(self):
+        """dissipator.fixed_point of the drift, computed on first use."""
+        return fixed_point(self.drift)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,12 +238,7 @@ def _label(linear, features, tol):
     """Taxonomy label from features and a (dim, n, n) stack of linear parts."""
     p, q, has_trace = features
     n = linear.shape[1]
-
-    if q == 0:
-        suffix = ""
-    elif q == n:
-        suffix = " x R^n"
-    else:
+    if q not in (0, n):
         return "other"
 
     def max_sym_defect(remove_trace):
@@ -247,11 +257,19 @@ def _label(linear, features, tol):
     elif p == n + 1 and has_trace and max_sym_defect(True) <= tol:
         base = "ad_su + span(I)"
     else:
-        return "other"
+        base = "other"
+    return _with_translations(base, q, n)
 
-    if base in ("ad_su", "ad_su + span(I)") and suffix:
-        return "(%s)%s" % (base, suffix)
-    return base + suffix
+
+def _with_translations(base, q, n):
+    """base suffixed with " x R^n" when q = n; "other" for other q."""
+    if base == "other" or q == 0:
+        return base
+    if q != n:
+        return "other"
+    if base in ("ad_su", "ad_su + span(I)"):
+        return "(%s) x R^n" % base
+    return base + " x R^n"
 
 
 def classify(c, tol=1e-9):
@@ -296,17 +314,16 @@ def accessibility(system, tol=1e-9, max_generations=8):
     When the controls alone generate ad su(N) (see _ad_su_rows), the
     Hamiltonian drift lies in it, so the algebra is Lie{ad su(N), D} for
     the dissipator D.  Projection onto linear parts is a Lie homomorphism,
-    so p is the dimension of the n x n closure of the ad su(N) rows and
-    D.linear / |D.linear| (seeded only when |D.linear| > tol * |D|): the
-    count of its orthonormal rows, with no rate scale left in it.  The
-    translation ideal is invariant under ad su(N), which acts irreducibly,
-    so it is 0 or all of R^n; it is 0 iff every element fixes a common
-    point, and ad su(N) fixes only 0, so q = 0 iff |D.translation| <=
-    tol * |D|.  has_trace is read off the rows, closure_dim is p + q, and
-    generations counts the rounds of that n x n closure.  An algebra of
-    dimension n + 1 containing ad su(N) is ad su(N) + RI, so the label's
-    structural checks hold as on the affine route.  Every other system
-    gets the affine closure and its features.
+    and the linear image is ad su(N) plus a union of whole Casimir pieces
+    of gl(n) (see _piece_closure), read off D.linear (only when |D.linear|
+    > tol * |D|) and a few brackets, with no rate scale left in it.  p is
+    n plus the dimensions of those pieces, has_trace says whether RI is
+    among them, and the label follows from the set of pieces; generations
+    counts the rounds of the piece closure.  The translation ideal is
+    invariant under ad su(N), which acts irreducibly, so it is 0 or all of
+    R^n; it is 0 iff every element fixes a common point, and ad su(N) fixes
+    only 0, so q = 0 iff |D.translation| <= tol * |D|, and closure_dim is
+    p + q.  Every other system gets the affine closure and its features.
     """
     su = _ad_su_rows(system, tol, max_generations)
     if su is None:
@@ -316,21 +333,18 @@ def accessibility(system, tol=1e-9, max_generations=8):
         generations, converged, label = (c.generations, c.converged,
                                          c.classification)
     else:
-        n = system.N * system.N - 1
+        N, n = system.N, system.N * system.N - 1
         D = system.dissipator
-        seeds = su
-        if np.linalg.norm(D.linear) > tol * D.norm():
-            seeds = np.vstack([su, D.linear.reshape(1, -1)])
-        rows, generations, converged = _bracket_closure(
-            seeds, _matrix_commutator(n), n * n, tol, max_generations)
-        linear = rows.reshape(-1, n, n)
-        p = len(rows)
+        linear = (D.linear if np.linalg.norm(D.linear) > tol * D.norm()
+                  else None)
+        pieces, generations, converged = _piece_closure(
+            su, N, linear, tol, max_generations)
+        dims = {name: dim for name, _, _, dim in _piece_table(N)}
+        p = n + sum(dims[name] for name in pieces)
         q = 0 if np.linalg.norm(D.translation) <= tol * D.norm() else n
         dim = p + q
-        traces = np.trace(linear, axis1=1, axis2=2)
-        has_trace = bool(np.linalg.norm(traces) > tol)
-        label = (_label(linear, (p, q, has_trace), tol) if converged
-                 else None)
+        has_trace = "RI" in pieces
+        label = _piece_label(pieces, dims, q, n) if converged else None
     features = {"linear_dim": p, "translation_dim": q, "has_trace": has_trace}
     accessible = label in ACCESSIBLE_LABELS if converged else None
     return AccessibilityReport(accessible, dim, label, generations,
@@ -341,13 +355,11 @@ def _ad_su_rows(system, tol, max_generations):
     """Orthonormal flat n x n rows of ad su(N) spanned by the controls.
 
     None when there are no controls, when the controls' linear parts do not
-    close to dimension n, or when those n rows do not stand for ad su(N).
-    The rows stand for ad su(N) when the Hamiltonian lies in their span and
-    the sum of R^T R over them is the identity to tol.  ad su(N) acts
-    absolutely irreducibly, so that sum is I for any orthonormal basis of
-    it, and a null vector shared by the rows would make it singular.
-    Hamiltonian drift and controls always pass; other skew generators may
-    not, and then take the affine route.
+    close to dimension n, or when those n rows do not span ad su(N).  The
+    rows span ad su(N) when the adjoint generators of the basis (the
+    slices of its structure tensor f) lie in their span to tol; the
+    Hamiltonian must lie there too.  Hamiltonian drift and controls always
+    pass; other skew generators may not, and then take the affine route.
     """
     if not system.controls:
         return None
@@ -358,11 +370,146 @@ def _ad_su_rows(system, tol, max_generations):
     if len(su) < n:
         return None
     h = system.hamiltonian.linear.ravel()
-    stacked = su.reshape(-1, n)
+    ad = gellmann_basis(system.N).f.reshape(n, n * n)
     if (np.linalg.norm(h - (su @ h) @ su) > tol * np.linalg.norm(h)
-            or np.max(np.abs(stacked.T @ stacked - np.eye(n))) > tol):
+            or np.linalg.norm(ad - (ad @ su.T) @ su)
+            > tol * np.linalg.norm(ad)):
         return None
     return su
+
+
+def _piece_table(N):
+    """(name, part, Casimir ratio, dimension) of the pieces of gl(n).
+
+    Under K = ad su(N), n = N^2 - 1, gl(n) splits over R into pieces that
+    K preserves (R. Slansky, Phys. Rep. 79, 1 (1981)): the multiples of
+    the identity RI, and in the skew part K itself and E_c, in the
+    symmetric traceless part the d-tensor copy D_d of the adjoint and E+
+    and E-.  part says which part of a matrix a piece lives in, and the
+    Casimir ratio is its eigenvalue of Omega (see _piece_projector) over
+    K's.  D_d shares K's value but not its part.  Empty pieces have
+    dimension 0: D_d at N = 2, E- at N <= 3.
+    """
+    n = N * N - 1
+    return (("RI", "trace", 0.0, 1),
+            ("K", "skew", 1.0, n),
+            ("E_c", "skew", 2.0, n * (n - 3) // 2),
+            ("D_d", "sym", 1.0, n if N >= 3 else 0),
+            ("E+", "sym", (2 * N + 2) / N, N * N * (N - 1) * (N + 3) // 4),
+            ("E-", "sym", (2 * N - 2) / N,
+             N * N * (N + 1) * (N - 3) // 4 if N >= 4 else 0))
+
+
+def _piece_projector(su, N):
+    """project(x): the components of a (m, n, n) stack in each piece.
+
+    su holds orthonormal flat rows k_i of ad su(N).  The Casimir operator
+    Omega(X) = sum_i [k_i, [k_i, X]] equals -2 (X + sum_i k_i X k_i),
+    because sum_i k_i k_i = -I on ad su(N), and costs O(n^4).  Omega is
+    c times the Casimir ratio on each piece, with c read from one K row.
+    A matrix splits into its trace, skew and symmetric traceless parts;
+    on each part the projector onto a piece is the Lagrange polynomial in
+    Omega over the nonempty pieces of that part.  project returns a dict
+    from piece name to the (m, n, n) components, nonempty pieces only.
+    """
+    n = N * N - 1
+    k = su.reshape(n, n, n)
+    kt = k.transpose(1, 0, 2).reshape(n, n * n)
+
+    def omega(x):
+        return -2.0 * (x + kt @ (x[:, None] @ k).reshape(len(x), n * n, n))
+
+    unit = float(np.vdot(omega(k[:1])[0], k[0]))
+    parts = {}
+    for name, part, ratio, dim in _piece_table(N):
+        if dim and part != "trace":
+            parts.setdefault(part, []).append((name, unit * ratio))
+    lagrange = {}
+    for part, members in parts.items():
+        values = np.array([value for _, value in members])
+        coeffs = []
+        for a, value in enumerate(values):
+            others = np.delete(values, a)
+            # np.poly lists the highest degree first, and gives 1.0 for none
+            coeffs.append(np.atleast_1d(np.poly(others))[::-1]
+                          / np.prod(value - others))
+        lagrange[part] = ([name for name, _ in members], np.array(coeffs))
+    eye = np.eye(n)
+
+    def project(x):
+        trace = np.trace(x, axis1=1, axis2=2)[:, None, None] / n
+        xt = x.transpose(0, 2, 1)
+        split = {"skew": 0.5 * (x - xt), "sym": 0.5 * (x + xt) - trace * eye}
+        out = {"RI": trace * eye}
+        for part, (names, coeffs) in lagrange.items():
+            powers = [split[part]]
+            for _ in names[1:]:
+                powers.append(omega(powers[-1]))
+            out.update(zip(names, np.tensordot(coeffs, powers, axes=1)))
+        return out
+
+    return project
+
+
+def _piece_closure(su, N, linear, tol, max_generations):
+    """(pieces, generations, converged) of Lie{ad su(N), linear}.
+
+    The algebra is a K-module that contains K = ad su(N), so it is K plus
+    a union of whole pieces from _piece_table: every piece but K is
+    irreducible and occurs once outside K.  pieces is that union, as a
+    set of names.  It starts from the pieces where the projection of
+    linear (an n x n matrix, or None for none) exceeds tol * |linear|.
+    Each round brackets generic elements of every pair of pieces, new
+    ones among them, drawn from a fixed seed (two independent elements
+    for a piece paired with itself), and adds each piece the bracket's
+    projection reaches above tol * |x| |y|.  Brackets with K stay in
+    their piece and brackets with RI vanish, so neither is paired, and RI
+    is never reached.  The closure stops when a round adds nothing or
+    every reachable piece is in; generations counts the rounds that added
+    a piece, and converged is False when max_generations of them ran out
+    with a reachable piece still missing.
+    """
+    n = N * N - 1
+    project = _piece_projector(su, N)
+    pieces = set()
+    if linear is not None:
+        parts = project(linear[None])
+        pieces = {name for name, x in parts.items() if name != "K"
+                  and np.linalg.norm(x) > tol * np.linalg.norm(linear)}
+    reachable = {name for name, _, _, dim in _piece_table(N)
+                 if dim and name not in ("K", "RI")}
+    frontier = pieces & reachable
+    generations = 0
+    generic = None
+    while frontier and not reachable <= pieces:
+        if generations == max_generations:
+            return pieces, generations, False
+        if generic is None:
+            generic = project(np.random.default_rng(0).standard_normal(
+                (2, n, n)))
+        active = sorted(pieces & reachable)
+        pairs = [(a, b) for i, a in enumerate(active) for b in active[i:]
+                 if a in frontier or b in frontier]
+        x = np.array([generic[a][0] for a, _ in pairs])
+        y = np.array([generic[b][1] for _, b in pairs])
+        floor = tol * (np.linalg.norm(x, axis=(1, 2))
+                       * np.linalg.norm(y, axis=(1, 2)))
+        reached = project(x @ y - y @ x)
+        frontier = {c for c in reachable - pieces
+                    if np.any(np.linalg.norm(reached[c], axis=(1, 2)) > floor)}
+        if frontier:
+            pieces |= frontier
+            generations += 1
+    return pieces, generations, True
+
+
+def _piece_label(pieces, dims, q, n):
+    """Taxonomy label of ad su(N) plus the named pieces, q translations."""
+    nonempty = {name for name, dim in dims.items() if dim and name != "K"}
+    base = {frozenset(): "ad_su", frozenset({"RI"}): "ad_su + span(I)",
+            frozenset(nonempty - {"RI"}): "sl(n)",
+            frozenset(nonempty): "gl(n)"}.get(frozenset(pieces), "other")
+    return _with_translations(base, q, n)
 
 
 class Certificate(NamedTuple):
@@ -421,7 +568,7 @@ def noncontrollability_certificates(system, tol=1e-12):
     )
     note = None
     if nonzero and not unital:
-        fp = fixed_point(system.drift)
+        fp = system.fixed_point
         if fp is not None and abs(purity(fp) - 1.0) <= 1e-9:
             note = ("drift relaxes to a pure state: the closure of the "
                     "reachable set is the full ball asymptotically")

@@ -7,7 +7,8 @@ agreement is meaningful.
 
 import numpy as np
 
-from lindbladctl import AffineGenerator, PiecewiseControl, structure_tensors
+from lindbladctl import (AffineGenerator, PiecewiseControl, gellmann_basis,
+                         structure_tensors)
 
 
 def superoperator_generator(h, A, basis):
@@ -224,7 +225,16 @@ def closure_features(members, n, tol):
 def closure_label(members, n, tol):
     """Taxonomy label of a closure basis, with a per-member symmetry loop."""
     p, q, has_trace = closure_features(members, n, tol)
+    return taxonomy_label([g.linear for g in members], p, q, has_trace, n,
+                          tol)
 
+
+def taxonomy_label(linears, p, q, has_trace, n, tol):
+    """Label of an algebra from its features and its n x n linear parts.
+
+    The ad_su labels also check, one matrix at a time, that the linear
+    parts are skew (plus a multiple of the identity for span(I)).
+    """
     if q == 0:
         suffix = ""
     elif q == n:
@@ -234,8 +244,8 @@ def closure_label(members, n, tol):
 
     def max_sym_defect(remove_trace):
         worst = 0.0
-        for g in members:
-            sym = 0.5 * (g.linear + g.linear.T)
+        for linear in linears:
+            sym = 0.5 * (linear + linear.T)
             if remove_trace:
                 sym = sym - (np.trace(sym) / n) * np.eye(n)
             worst = max(worst, float(np.max(np.abs(sym))))
@@ -255,6 +265,101 @@ def closure_label(members, n, tol):
     if base in ("ad_su", "ad_su + span(I)") and suffix:
         return "(%s)%s" % (base, suffix)
     return base + suffix
+
+
+def linear_closure(system, tol=1e-9, max_generations=8):
+    """(p, q, has_trace, label, converged) of Lie{ad su(N), D} by closure.
+
+    For a system whose controls generate ad su(N): the n x n closure of
+    the controls' orthonormal ad su(N) rows and D.linear (seeded when
+    |D.linear| > tol * |D|) by liealg's bracket engine, up to n^2 rows of
+    length n^2, O(n^6).  p is the row count, has_trace tests the norm of
+    the rows' traces against tol, q is 0 iff |D.translation| <= tol * |D|
+    (the translation ideal is 0 or R^n), and the label is taxonomy_label
+    of the rows.  This is what accessibility computed before it read the
+    algebra off the Casimir pieces; apart from _ad_su_rows, which picks
+    the route, it shares no code with that route.
+    Known defect: near tol, rounding noise can pass as a new row, so on a
+    traceless D made of the D_d piece alone it can accept noise rows and
+    then the identity, answering gl(n) where the algebra is sl(n).
+    """
+    from lindbladctl import liealg
+
+    n = system.N * system.N - 1
+    D = system.dissipator
+    seeds = liealg._ad_su_rows(system, tol, max_generations)
+    assert seeds is not None, "the controls do not generate ad su(N)"
+    if np.linalg.norm(D.linear) > tol * D.norm():
+        seeds = np.vstack([seeds, D.linear.reshape(1, -1)])
+    rows, _, converged = liealg._bracket_closure(
+        seeds, liealg._matrix_commutator(n), n * n, tol, max_generations)
+    linears = rows.reshape(-1, n, n)
+    p = len(rows)
+    q = 0 if np.linalg.norm(D.translation) <= tol * D.norm() else n
+    traces = np.trace(linears, axis1=1, axis2=2)
+    has_trace = bool(np.linalg.norm(traces) > tol)
+    label = (taxonomy_label(linears, p, q, has_trace, n, tol) if converged
+             else None)
+    return p, q, has_trace, label, converged
+
+
+def casimir_pieces(N):
+    """Orthonormal bases of the pieces of gl(n) under ad su(N), by eigh.
+
+    Writes the Casimir operator Omega(X) = sum_i [k_i, [k_i, X]] over the
+    normalized adjoint generators k_i (the slices of f) as an explicit
+    n^2 x n^2 matrix on row-major vec(X), restricts it to the skew and to
+    the symmetric traceless matrices, and groups the eigenvectors by
+    eigenvalue over Omega's value on k_1.  Returns {name: (dim, n, n)
+    orthonormal basis} with the names of liealg._piece_table, nonempty
+    pieces only: RI is I / sqrt(n); K and E_c are the skew eigenspaces of
+    ratio 1 and 2; D_d, E+ and E- the symmetric ones of ratio 1, (2N+2)/N
+    and (2N-2)/N.  No Lagrange polynomial and no code of the package's
+    projector are involved.
+    """
+    n = N * N - 1
+    f = structure_tensors(gellmann_basis(N))[0]
+    k = f / np.linalg.norm(f.reshape(n, -1), axis=1)[:, None, None]
+    eye = np.eye(n)
+    c = np.einsum("iab,ibc->ac", k, k)
+    omega = (np.kron(c, eye) + np.kron(eye, c.T)
+             - 2.0 * np.einsum("iab,idc->acbd", k, k).reshape(n * n, n * n))
+    unit = k[0].ravel() @ omega @ k[0].ravel()
+    swap = np.eye(n * n).reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(
+        n * n, n * n)
+    ident = eye.reshape(-1, 1) / np.sqrt(n)
+    parts = {"skew": 0.5 * (np.eye(n * n) - swap),
+             "sym": 0.5 * (np.eye(n * n) + swap) - ident @ ident.T}
+    ratios = {"skew": {"K": 1.0, "E_c": 2.0},
+              "sym": {"D_d": 1.0, "E+": (2 * N + 2) / N,
+                      "E-": (2 * N - 2) / N}}
+    pieces = {"RI": eye[None] / np.sqrt(n)}
+    for part, proj in parts.items():
+        values, vectors = np.linalg.eigh(proj @ omega @ proj)
+        for name, ratio in ratios[part].items():
+            chosen = np.abs(values / unit - ratio) < 1e-6
+            if chosen.any():
+                pieces[name] = vectors[:, chosen].T.reshape(-1, n, n)
+    return pieces
+
+
+def d_piece_document(N):
+    """An admissible document whose D.linear lies in RI + D_d.
+
+    The GKS matrix is the last symmetric slice of the d-tensor plus
+    the least multiple of the identity that makes it positive
+    semidefinite, rounded up to an integer; the controls are every basis
+    direction and the drift is zero.  Under ad su(N) such an A gives a
+    dissipator with an identity part and a D_d part only.
+    """
+    from lindbladctl.cli import SystemDocument
+
+    n = N * N - 1
+    d = structure_tensors(gellmann_basis(N))[1][-1]
+    shift = np.ceil(-np.linalg.eigvalsh(d)[0])
+    return SystemDocument(N=N, h0=np.zeros(n), controls=np.eye(n),
+                          a_real=d + shift * np.eye(n),
+                          a_imag=np.zeros((n, n)))
 
 
 def sample_reachable_loop(system, rho_init, horizon, num_samples=500, seed=0,

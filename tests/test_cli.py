@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import random_psd
+from _oracles import d_piece_document, random_psd
 from lindbladctl.cli import (TOLERANCES, CliParseError, SystemDocument,
                              _fmt_number, cloud_csv, cmd_analyze,
                              dumps_report, main, trajectory_csv)
@@ -462,7 +462,9 @@ def test_analyze_unconverged_closure_reports_unknown(tmp_path, monkeypatch):
     monkeypatch.setattr("lindbladctl.cli.accessibility",
                         lambda system, tol: accessibility(
                             system, tol=tol, max_generations=1))
-    doc = _write_preset_doc(tmp_path, "amplitude_damping", gamma=0.8)
+    # D.linear in RI + D_d at N=3: the piece closure needs two rounds
+    doc = tmp_path / "d_piece.json"
+    doc.write_text(d_piece_document(3).to_json())
     out = tmp_path / "report.json"
     assert main(["analyze", str(doc), "--out", str(out)]) == 0
     text = out.read_text()
@@ -543,6 +545,37 @@ def test_exit_code_4_on_ball_exit(tmp_path, capsys):
                      "--samples", "5", "--out", str(tmp_path / "c")])
     assert code == 4
     assert "by nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon, time", [("400", "360"), ("1000", "400")])
+def test_exit_code_4_on_det_g_overflow(tmp_path, capsys, horizon, time):
+    """The zero state is a fixed point of the inadmissible document, so the
+    state stays finite while det g(t) = exp(t) overflows."""
+    doc = _inadmissible_doc(tmp_path)
+    out = tmp_path / "t.csv"
+    assert main(["simulate", str(doc), "--permissive", "--horizon", horizon,
+                 "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "error: det_g is inf at t=%s: the volume of the flow overflows a "
+        "double\n" % time)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("control, message", [
+    ('[{"duration": "1", "u": [0.5, 1, 0]}]',
+     "segment 0: field 'duration': expected a number, got '1'"),
+    ('[{"duration": 1, "u": ["0.5", true, 0]}]',
+     "segment 0: field 'u': expected a number, got '0.5'"),
+    ('[[0.5, [0, 0, 1]], [0.5, [0, true, 1]]]',
+     "segment 1: field 'u': expected a number, got True"),
+    ('[[false, [0, 0, 1]]]',
+     "segment 0: field 'duration': expected a number, got False"),
+])
+def test_control_refuses_strings_and_booleans(tmp_path, capsys, control,
+                                              message):
+    doc = _write_preset_doc(tmp_path, "bit_flip", gamma=0.5)
+    assert main(["simulate", str(doc), "--control", control]) == 2
+    assert capsys.readouterr().err == "error: --control: %s\n" % message
 
 
 def test_simulate_csv_output(tmp_path):

@@ -1,14 +1,16 @@
 """Lie closure, classification, certificates, and the bracket table."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (affine_lie_dim, closure_features, closure_label,
-                      closure_members, matrix_lie_dim, random_psd)
+from _oracles import (affine_lie_dim, casimir_pieces, closure_features,
+                      closure_label, closure_members, d_piece_document,
+                      linear_closure, matrix_lie_dim, random_psd)
 from lindbladctl import (PRESET_NAMES, AffineGenerator, ControlSystem,
                         GksMatrix, accessibility, adjoint_generator,
                         assemble_dissipator, bracket, classify, closure,
@@ -62,10 +64,18 @@ def test_closure_generation_budget():
 
 
 def test_unconverged_accessibility_is_unknown():
-    acc = accessibility(preset("amplitude_damping"), max_generations=1)
-    assert not acc.converged
-    assert acc.classification is None
-    assert acc.accessible is None
+    """The budget binds on the piece route (RI + D_d at N=3 needs two
+    rounds) and on the affine route (one control)."""
+    d_piece = d_piece_document(3).to_control_system()
+    damping = preset("amplitude_damping")
+    one_control = dataclasses.replace(damping, controls=damping.controls[:1])
+    assert liealg._ad_su_rows(d_piece, 1e-9, 8) is not None
+    assert liealg._ad_su_rows(one_control, 1e-9, 8) is None
+    for system in (d_piece, one_control):
+        acc = accessibility(system, max_generations=1)
+        assert not acc.converged
+        assert acc.classification is None
+        assert acc.accessible is None
 
 
 def test_closure_input_validation():
@@ -110,9 +120,10 @@ def test_one_tolerance_for_acceptance_features_and_label():
     assert accessibility(system).classification == "gl(n)"
 
 
-def _random_system(rng, N=3):
+def _random_system(rng, N=3, real=False):
     basis = gellmann_basis(N)
-    gks = GksMatrix(random_psd(rng, basis.n))
+    entries = random_psd(rng, basis.n)
+    gks = GksMatrix(entries.real if real else entries)
     return ControlSystem(
         N=N, hamiltonian=adjoint_generator(basis, rng.normal(size=basis.n)),
         controls=tuple(adjoint_generator(basis, rng.normal(size=basis.n))
@@ -331,6 +342,186 @@ def test_non_hamiltonian_drift_takes_the_affine_route(monkeypatch):
     assert calls == [1]
     assert acc.closure_dim == affine_lie_dim(
         [system.drift, *system.controls])[0]
+
+
+def test_skew_controls_closing_to_u2_plus_u2_take_the_affine_route():
+    """u(2) + u(2), block diagonal on R^4 + R^4, is a Lie algebra of
+    dimension n = 8 at N = 3 whose orthonormal rows R also give sum R^T R
+    = I, but it is not ad su(N), so the Casimir pieces do not apply.  Its
+    closure with D = -I on the first block has dimension 9; read through
+    the pieces it would be gl(n)."""
+    def realify(m):
+        return np.block([[m.real, -m.imag], [m.imag, m.real]])
+
+    u2 = [realify(1j * m) / 2 for m in (np.array([[0, 1], [1, 0]]),
+                                         np.array([[0, -1j], [1j, 0]]),
+                                         np.diag([1, -1]), np.eye(2))]
+    rng = np.random.default_rng(37)
+
+    def control():
+        linear = np.zeros((8, 8))
+        linear[:4, :4] = np.tensordot(rng.normal(size=4), u2, axes=1)
+        linear[4:, 4:] = np.tensordot(rng.normal(size=4), u2, axes=1)
+        return AffineGenerator(linear)
+
+    system = ControlSystem(N=3, hamiltonian=AffineGenerator.zero(8),
+                           controls=(control(), control()),
+                           dissipator=AffineGenerator(
+                               -np.diag([1.0] * 4 + [0.0] * 4)))
+    assert affine_lie_dim(system.controls)[0] == 8
+    assert liealg._ad_su_rows(system, 1e-9, 8) is None
+    assert _verdict(accessibility(system)) == (False, 9, "other")
+    assert affine_lie_dim([system.drift, *system.controls])[0] == 9
+
+
+#: Dimensions of the nonempty pieces of gl(n) under ad su(N) (ROADMAP
+#: direction 1, after Slansky 1981).
+def _table_dims(N):
+    n = N * N - 1
+    dims = {"RI": 1, "K": n, "E_c": n * (n - 3) // 2,
+            "D_d": n if N >= 3 else 0,
+            "E+": N * N * (N - 1) * (N + 3) // 4,
+            "E-": N * N * (N + 1) * (N - 3) // 4 if N >= 4 else 0}
+    return {name: dim for name, dim in dims.items() if dim}
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_piece_projector_matches_casimir_eigenspaces(N):
+    """The Lagrange projectors of the route equal the orthogonal
+    projections onto the eigenspaces of the explicit Casimir matrix, and
+    the piece dimensions are the table's, empty pieces dropped."""
+    pieces = casimir_pieces(N)
+    assert {name: len(b) for name, b in pieces.items()} == _table_dims(N)
+    assert {name: dim for name, _, _, dim in liealg._piece_table(N)
+            if dim} == _table_dims(N)
+    system = _random_system(np.random.default_rng(40 + N), N)
+    project = liealg._piece_projector(
+        liealg._ad_su_rows(system, 1e-9, 8), N)
+    x = np.random.default_rng(50 + N).normal(size=(2, N * N - 1, N * N - 1))
+    parts = project(x)
+    assert set(parts) == set(pieces)
+    for name, b in pieces.items():
+        expected = np.tensordot(np.tensordot(x, b, axes=([1, 2], [1, 2])),
+                                b, axes=1)
+        np.testing.assert_allclose(parts[name], expected, atol=1e-12)
+    np.testing.assert_allclose(sum(parts.values()), x, atol=1e-12)
+
+
+def _closure_pieces(N, start):
+    """Pieces of Lie{ad su(N), start} beyond K, from the structure of gl(n).
+
+    RI is central.  K + E_c is so(n), a subalgebra, and so is K + E- at
+    N = 4, which is sl(6, R) acting on Lambda^2 R^6 (su(4) = so(6)).  Any
+    other non-trace piece generates sl(n): it brackets into E_c, and
+    so(n) acts irreducibly on the symmetric traceless matrices.
+    """
+    core = set(start) - {"RI"}
+    if core in (set(), {"E_c"}) or (N == 4 and core == {"E-"}):
+        return set(start)
+    return (set(_table_dims(N)) - {"K", "RI"}) | (set(start) & {"RI"})
+
+
+def _piece_system(N, linear, rng, translation=None):
+    basis = gellmann_basis(N)
+    return ControlSystem(
+        N=N, hamiltonian=adjoint_generator(basis, rng.normal(size=basis.n)),
+        controls=tuple(adjoint_generator(basis, rng.normal(size=basis.n))
+                       for _ in range(2)),
+        dissipator=AffineGenerator(linear, translation))
+
+
+def _in_pieces(pieces, names, rng):
+    """A generic element of the named pieces, from their eigh bases."""
+    return sum(np.tensordot(rng.normal(size=len(pieces[name])),
+                            pieces[name], axes=1) for name in names)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_one_and_two_piece_dissipators(N):
+    """Every dissipator built from one or two pieces, half of them with a
+    translation: p = n + the table dimensions of the pieces the algebra
+    holds, and the features and label follow from that set."""
+    n = N * N - 1
+    dims = _table_dims(N)
+    pieces = casimir_pieces(N)
+    names = sorted(set(dims) - {"K"})
+    rng = np.random.default_rng(60 + N)
+    combos = [(a,) for a in names] + list(itertools.combinations(names, 2))
+    for i, combo in enumerate(combos):
+        translation = rng.normal(size=n) if i % 2 else None
+        system = _piece_system(N, _in_pieces(pieces, combo, rng), rng,
+                               translation)
+        held = _closure_pieces(N, combo)
+        q = 0 if translation is None else n
+        acc = accessibility(system)
+        assert acc.features == {
+            "linear_dim": n + sum(dims[name] for name in held),
+            "translation_dim": q, "has_trace": "RI" in held}, combo
+        assert acc.closure_dim == acc.features["linear_dim"] + q
+        base = {frozenset({"RI"}): "ad_su + span(I)",
+                frozenset(set(names) - {"RI"}): "sl(n)",
+                frozenset(names): "gl(n)"}.get(frozenset(held), "other")
+        suffix = "" if q == 0 or base == "other" else " x R^n"
+        if suffix and base == "ad_su + span(I)":
+            base = "(%s)" % base
+        assert acc.classification == base + suffix, combo
+        assert acc.converged and acc.accessible == (base == "gl(n)")
+
+
+@pytest.mark.parametrize("N, seeds", [(4, 8), (5, 3)])
+def test_d_piece_alone_is_sl_n(N, seeds):
+    """A traceless dissipator made of the D_d piece alone generates sl(n).
+    The n^2-row closure (_oracles.linear_closure) accepted two rounding
+    residuals just above tol and then the identity, and answered gl(n)
+    on some of these seeds; traceless generators cannot produce it."""
+    n = N * N - 1
+    pieces = casimir_pieces(N)
+    for seed in range(seeds):
+        rng = np.random.default_rng([70, N, seed])
+        system = _piece_system(N, _in_pieces(pieces, ["D_d"], rng), rng)
+        assert abs(np.trace(system.dissipator.linear)) < 1e-12
+        acc = accessibility(system)
+        assert _verdict(acc) == (False, n * n - 1, "sl(n)")
+        assert acc.features["has_trace"] is False
+        assert acc.generations == 2
+
+
+def test_empty_pieces_at_N2():
+    """At N=2 the pieces E_c, D_d and E- are empty (and 2N - 2 = N, so D_d
+    and E- would share a Casimir value); the route drops them, and the
+    symmetric traceless part is E+ alone."""
+    assert [name for name, _, _, dim in liealg._piece_table(2) if dim] == [
+        "RI", "K", "E+"]
+    rng = np.random.default_rng(41)
+    pieces = casimir_pieces(2)
+    cases = [(["E+"], (False, 8, "sl(n)")), (["RI"], (False, 4,
+                                                      "ad_su + span(I)")),
+             (["RI", "E+"], (True, 9, "gl(n)")), ([], (False, 3, "ad_su"))]
+    for names, expected in cases:
+        linear = (_in_pieces(pieces, names, rng) if names
+                  else np.zeros((3, 3)))
+        acc = accessibility(_piece_system(2, linear, rng))
+        assert _verdict(acc) == expected, names
+        assert acc.generations == 0
+
+
+def _linear_oracle_systems(group):
+    if group != "random":
+        return _oracle_systems(group)
+    rng = np.random.default_rng(42)
+    return [_random_system(rng, N, real) for N in (2, 3, 4, 5, 6)
+            for real in ((False,) if N == 6 else (False, True))]
+
+
+@pytest.mark.parametrize("group", ["random", "presets", "taxonomy"])
+def test_piece_route_matches_linear_closure_oracle(group):
+    """p, q, has_trace and the label of the piece route equal those of the
+    n^2-row linear closure it replaced, at N = 2..6 for random systems."""
+    for system in _linear_oracle_systems(group):
+        acc = accessibility(system)
+        f = acc.features
+        assert (f["linear_dim"], f["translation_dim"], f["has_trace"],
+                acc.classification, acc.converged) == linear_closure(system)
 
 
 def _oracle_systems(group):
