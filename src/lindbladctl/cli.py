@@ -133,18 +133,141 @@ def dumps_report(obj):
     return "".join(out) + "\n"
 
 
+#: Veltkamp's splitter 2**27 + 1: c = x * _SPLIT, c - (c - x) is x's top half
+_SPLIT = 134217729.0
+
+#: 10**p for p = 0..22, each an exact double, split in Veltkamp halves
+_POW10 = np.array([float(10 ** p) for p in range(23)])
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+
+#: Code of the "0" piece, after the 2 * 22 * 17 pieces of nonzero values
+_ZERO = 2 * 22 * 17
+
+
+def _digit_pieces():
+    """(pieces, widths): the %-templates of %.17g for 1e-6 < |x| < 1e16.
+
+    Code (neg * 22 + k + 6) * 17 + t is the template of a value of sign
+    neg, decimal exponent k (-6..15) and t trailing zeros in its 17
+    significant digits D.  It takes q = D // 10**t, or q // 10**w and
+    q % 10**w when its width w (the digits of the second %d) is positive.
+    Code _ZERO is "0" and takes nothing.  pieces holds every template
+    twice, ended by "," at code and by "\\n" at code + _ZERO + 1; widths
+    holds w for the codes below _ZERO.
+    """
+    pieces, widths = [], []
+    for k in range(-6, 16):
+        for c in range(17, 0, -1):  # digits left in q
+            if k >= 0:  # k + 1 integer digits
+                w = max(c - k - 1, 0)
+                head, tail = "%d", "0" * (k + 1 - c)
+            elif k >= -4:
+                w, head, tail = 0, "0." + "0" * (-k - 1) + "%d", ""
+            else:
+                w, head, tail = c - 1, "%d", "e-%02d" % -k
+            pieces.append(head + (".%%0%dd" % w if w else "") + tail)
+            widths.append(w)
+    pieces += ["-" + p for p in pieces] + ["0"]
+    pieces = np.array([p + "," for p in pieces] + [p + "\n" for p in pieces],
+                      dtype=object)
+    pieces.flags.writeable = False
+    return pieces, np.array(widths + widths)
+
+
+#: The templates and widths of _digit_pieces, built once at import
+_PIECES, _WIDTHS = _digit_pieces()
+
+
+def _times_pow10(a, p):
+    """(hi, lo) with hi + lo = a * 10**p exactly: Dekker's TwoProduct.
+
+    a = ah + al and 10**p = bh + bl are split in halves of at most 26 bits
+    (Veltkamp), so every partial product is exact, and
+    lo = al*bl - (((hi - ah*bh) - al*bh) - ah*bl) with no fused
+    multiply-add.  It runs in place, to keep temporaries few.
+    """
+    hi = _POW10[p]
+    hi *= a
+    ah = a * _SPLIT
+    al = ah - a
+    ah -= al
+    np.subtract(a, ah, out=al)
+    bh, bl = _POW10_HI[p], _POW10_LO[p]
+    lo = ah * bh
+    np.subtract(hi, lo, out=lo)
+    bh *= al
+    lo -= bh
+    ah *= bl
+    lo -= ah
+    bl *= al
+    np.subtract(bl, lo, out=lo)
+    return hi, lo
+
+
+def _digit_codes(x):
+    """(code, q) of _digit_pieces for each value of the 1-D float array x.
+
+    code _ZERO (the "0" piece) stands for 0 and for every value outside
+    1e-6 < |x| < 1e16, which the caller formats itself.  See _csv_rows.
+    """
+    a = np.abs(x)
+    fast = (a > 1e-6) & (a < 1e16)
+    a[~fast] = 1.0
+    k = np.log10(a)
+    np.floor(k, out=k)
+    k = k.astype(np.int64)
+    np.maximum(k, -6, out=k)  # p = 16 - k <= 22; log10 keeps k <= 16
+    hi, lo = _times_pow10(a, 16 - k)
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    off = np.flatnonzero(low | (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0)))
+    if len(off):  # log10 seeded k one off
+        k[off] += np.where(low[off], -1, 1)
+        hi[off], lo[off] = _times_pow10(a[off], 16 - k[off])
+    d = hi.astype(np.int64)
+    d += np.rint(lo, out=lo).astype(np.int64)
+    code = 22 * (x < 0)
+    code += k + 6
+    code *= 17
+    z = np.flatnonzero(d // 10 * 10 == d)
+    if len(z):  # strip the trailing zeros
+        q, t = d[z], np.zeros(len(z), dtype=np.int64)
+        for s in (16, 8, 4, 2, 1):
+            m = q % _POW10_INT[s] == 0
+            q[m] //= _POW10_INT[s]
+            t[m] += s
+        d[z] = q
+        code[z] += t
+    code[~fast] = _ZERO
+    return code, d
+
+
 def _csv_rows(header, values, lead=()):
     """CSV text: the header, then one line per row of leading labels + values.
 
     values is a (rows, cols) float array.  lead holds the leading columns
     as their distinct values, outermost first: with lead = (a, b), row r
     starts with a[r // len(b)] and b[r % len(b)], as in a nested loop over
-    a and b.  Each label is formatted once, with _fmt_number, and built
-    into a template of the whole table, which one % call fills with every
-    value as %.17g.  The text is byte-identical to formatting every value
-    of every row with _fmt_number: integral labels print without a decimal
-    point and -0.0 prints as 0.  A non-finite number raises ValueError
-    naming the first one in row order.
+    a and b.  The text is byte-identical to formatting every label and
+    value of every row with _fmt_number (%.17g): integral labels print
+    without a decimal point and -0.0 prints as 0.  A non-finite number
+    raises ValueError naming the first one in row order.
+
+    Each label is formatted once, with _fmt_number.  A value x with
+    1e-6 < |x| < 1e16 prints from its 17 significant digits as one integer
+    D = round_half_even(|x| * 10**(16 - k)), 10**16 <= D < 10**17, where k
+    is its decimal exponent, through a template of _digit_pieces; one %
+    call over Python ints fills the whole table, which is far cheaper than
+    %.17g, whose 17 digits CPython prints through dtoa's bignum path.  D
+    is exact: 10**p is an exact double for p = 16 - k <= 22, Dekker's
+    TwoProduct gives |x| * 10**p = hi + lo exactly, and hi >= 1e16 > 2**53
+    is an even integer, so D = hi + rint(lo) rounds half to even.  k is
+    seeded by log10 and settled from hi + lo.  D never carries to 10**17:
+    that would take a double within 5e-18 (relative) below a power of ten
+    in the range, and the nearest ones are at least 8e-17 away.  Zero
+    prints as "0", and every other value (0 < |x| <= 1e-6 or |x| >= 1e16)
+    goes through _fmt_number one by one.
     """
     rows, cols = values.shape
     shape = [len(col) for col in lead]
@@ -156,13 +279,29 @@ def _csv_rows(header, values, lead=()):
                                  for col, i in zip(lead, index)] + [values])
         raise ValueError("cannot serialize non-finite number %r"
                          % float(table[~np.isfinite(table)][0]))
-    template = "\n".join([",".join(["%.17g"] * cols)] * reps)
-    for col in reversed(lead):
-        template = "\n".join(
-            label + template.replace("\n", "\n" + label)
-            for label in [_fmt_number(x) + "," for x in col])
-    return "%s\n%s\n" % (header,
-                         template % tuple((values + 0.0).ravel().tolist()))
+    x = np.asarray(values, dtype=float).ravel()
+    code, digits = _digit_codes(x)
+    fast = code < _ZERO
+    args = digits[fast]
+    w = _WIDTHS[code[fast]]
+    split = np.flatnonzero(w)
+    if len(split):  # the second %d goes right after the first
+        div = _POW10_INT[w[split]]
+        q = args[split]
+        args[split] = q // div
+        args = np.insert(args, split + 1, q % div)
+    code.reshape(rows, cols)[:, -1] += _ZERO + 1  # the line ends
+    cells = _PIECES[code]
+    for i in np.flatnonzero(~fast & (x != 0.0)):
+        cells[i] = _fmt_number(x[i]) + ("\n" if i % cols == cols - 1 else ",")
+    table = np.empty(shape + [reps, len(lead) + cols], dtype=object)
+    for j, col in enumerate(lead):
+        table[..., j] = np.array(
+            [_fmt_number(label) + "," for label in col], dtype=object).reshape(
+                [-1 if i == j else 1 for i in range(len(shape))] + [1])
+    table.reshape(rows, -1)[:, len(lead):] = cells.reshape(rows, cols)
+    return "".join([header.replace("%", "%%"), "\n"]
+                   + table.ravel().tolist()) % tuple(args.tolist())
 
 
 def trajectory_csv(traj):
@@ -384,7 +523,7 @@ def _write_output(text, out):
 #: Library parameter -> the flag that sets it.
 _PARAM_FLAGS = {"horizon": "--horizon", "control_bound": "--control-bound",
                 "num_samples": "--samples", "samples_per_segment": "--samples",
-                "seed": "--seed"}
+                "seed": "--seed", "tol": "--tol"}
 
 
 @contextlib.contextmanager
@@ -565,7 +704,8 @@ def _analyze_report(doc, tol):
 
 def cmd_analyze(path, out=None, tol=1e-9, permissive=False):
     doc = SystemDocument.load(path)
-    report, system = _analyze_report(doc, tol)
+    with _flag_values():
+        report, system = _analyze_report(doc, tol)
     _write_output(dumps_report(report), out)
     for w in report["warnings"]:
         print("warning: %s" % w, file=sys.stderr)
@@ -678,7 +818,8 @@ def build_parser():
     p.add_argument("document", help="system document (JSON)")
     p.add_argument("--out", help="write the report here (default: stdout)")
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="Lie-closure residual tolerance (default 1e-9)")
+                   help="Lie-closure residual tolerance, finite and in "
+                        "(0, 1) (default 1e-9)")
     p.add_argument("--permissive", action="store_true",
                    help="exit 0 even when the GKS matrix is not PSD")
     p.set_defaults(func=lambda a: cmd_analyze(a.document, out=a.out,

@@ -190,6 +190,17 @@ def _matrix_commutator(m):
     return commutator
 
 
+def _check_tol(tol):
+    """ValueError unless tol is finite and in (0, 1).
+
+    tol is relative: 0 or less keeps rounding residuals as new directions,
+    and 1 or more drops every generator.
+    """
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol must be finite and in (0, 1), got %r"
+                         % float(tol))
+
+
 def closure(generators, tol=1e-9, max_generations=8):
     """Lie closure of a set of affine generators.
 
@@ -199,8 +210,9 @@ def closure(generators, tol=1e-9, max_generations=8):
     current orthonormal basis both exceed tol.  Stops when a full round
     adds nothing or after max_generations productive rounds.  The members
     stay one array of rows; tol also decides the features, computed once
-    here, and the classification.
+    here, and the classification.  A tol outside (0, 1) raises ValueError.
     """
+    _check_tol(tol)
     generators = list(generators)
     if not generators:
         raise ValueError("closure requires at least one generator")
@@ -287,7 +299,9 @@ def classify(c, tol=1e-9):
     present (q = n); anything else is "other".  The ad_su labels are
     additionally guarded by a structural check that the linear parts are
     skew-symmetric (plus a multiple of the identity in the span(I) case).
+    A tol outside (0, 1) raises ValueError.
     """
+    _check_tol(tol)
     if not c.converged:
         raise ValueError("cannot classify an unconverged closure")
     stack = c.rows.reshape(-1, c.n + 1, c.n + 1)
@@ -324,7 +338,9 @@ def accessibility(system, tol=1e-9, max_generations=8):
     R^n; it is 0 iff every element fixes a common point, and ad su(N) fixes
     only 0, so q = 0 iff |D.translation| <= tol * |D|, and closure_dim is
     p + q.  Every other system gets the affine closure and its features.
+    A tol outside (0, 1) raises ValueError.
     """
+    _check_tol(tol)
     su = _ad_su_rows(system, tol, max_generations)
     if su is None:
         c = closure([system.drift, *system.controls], tol=tol,
@@ -587,8 +603,9 @@ def hamiltonian_controllability(basis, h0, hks, tol=1e-9):
     Works on coefficient vectors: H = sum_l h_l lambda_l brackets as
     (h, g)_l = sum_jk f_jkl h_j g_k.  The system is controllable on the
     unitary group (up to phase) iff the closure of drift and controls spans
-    all n coefficient directions.
+    all n coefficient directions.  A tol outside (0, 1) raises ValueError.
     """
+    _check_tol(tol)
     hks = [np.asarray(h, dtype=float) for h in hks]
     if not hks:
         raise ValueError("at least one control Hamiltonian is required")

@@ -175,11 +175,13 @@ def test_csv_writers_name_the_first_nonfinite_value_in_row_order():
 
 
 def test_cli_import_does_not_load_scipy():
+    # nor decimal or fractions, which exact number formatting might pull in
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     code = ("import sys, lindbladctl.cli, lindbladctl.selfcheck; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            "print(sorted(m for m in sys.modules if m.startswith('scipy') "
+            "or m in ('decimal', '_decimal', '_pydecimal', 'fractions')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -654,6 +656,16 @@ BAD_FLAG_VALUES = [
     (["simulate", "--samples", "0"], "--samples: must be >= 1"),
     (["simulate", "--control", "[[0.5, [0, 0, 1]]]", "--horizon", "nan"],
      "--control: total duration 0.5 does not match --horizon nan"),
+    (["analyze", "--tol", "nan"],
+     "--tol: must be finite and in (0, 1), got nan"),
+    (["analyze", "--tol", "inf"],
+     "--tol: must be finite and in (0, 1), got inf"),
+    (["analyze", "--tol", "1e300"],
+     "--tol: must be finite and in (0, 1), got 1e+300"),
+    (["analyze", "--tol", "-1"],
+     "--tol: must be finite and in (0, 1), got -1.0"),
+    (["analyze", "--tol", "0"],
+     "--tol: must be finite and in (0, 1), got 0.0"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -583,6 +584,24 @@ def test_accessibility_verdicts_for_presets():
     assert acc.accessible and acc.closure_dim == 12
     assert acc.features == {"linear_dim": 9, "translation_dim": 3,
                             "has_trace": True}
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 1e300, 1.0, -1.0, 0.0])
+def test_tol_outside_unit_interval_is_refused(tol):
+    # a tol of 0 or less keeps rounding residuals, 1 or more drops everything
+    system = preset("depolarizing")
+    message = "^%s$" % re.escape("tol must be finite and in (0, 1), got %r"
+                                 % tol)
+    generators = [system.drift, *system.controls]
+    with pytest.raises(ValueError, match=message):
+        closure(generators, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        classify(closure(generators), tol=tol)
+    with pytest.raises(ValueError, match=message):
+        accessibility(system, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        hamiltonian_controllability(gellmann_basis(2), None, [[1.0, 0, 0]],
+                                    tol=tol)
 
 
 def test_control_system_validation():
