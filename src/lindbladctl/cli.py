@@ -18,6 +18,7 @@ output.
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -84,12 +85,43 @@ def _is_scalar(x):
                                        np.bool_, np.integer, np.floating))
 
 
+#: The JSON text of a str, as json.dumps writes it, without its wrapper
+_json_string = json.encoder.encode_basestring_ascii
+
+#: The exact types of the floats that _write_json writes a row at a time
+_ROW_FLOATS = frozenset({float, np.float64})
+
+
+def _float_row(values):
+    """"[v, ...]" of a list of floats, each in %.17g, -0.0 as 0.
+
+    One finiteness check covers the row; a non-finite value raises the
+    ValueError that _fmt_number raises for the first one.
+    """
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ValueError("cannot serialize non-finite number %r" % float(bad))
+    return "[" + ", ".join(["%.17g" % (v + 0.0) for v in values]) + "]"
+
+
 def _write_json(obj, indent, out):
+    """Append the JSON text of obj, nested indent levels deep, to out.
+
+    An array is written as its nested lists.  A list of floats (so each
+    row of a float array) is written a row at a time by _float_row; every
+    other value goes through the general cases below, with _fmt_number
+    for numbers.  The text is the same either way.
+    """
+    if isinstance(obj, np.ndarray) and obj.ndim:
+        obj = np.asarray(obj).tolist()
+    if type(obj) is list and all(type(x) in _ROW_FLOATS for x in obj):
+        out.append(_float_row(obj))
+        return
     pad = "  " * indent
     if obj is None:
         out.append("null")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_json_string(obj))
     elif isinstance(obj, (bool, int, float, np.bool_, np.integer, np.floating)):
         out.append(_fmt_number(obj))
     elif isinstance(obj, dict):
@@ -99,12 +131,12 @@ def _write_json(obj, indent, out):
         out.append("{\n")
         items = list(obj.items())
         for i, (key, value) in enumerate(items):
-            out.append(pad + "  " + json.dumps(str(key)) + ": ")
+            out.append(pad + "  " + _json_string(str(key)) + ": ")
             _write_json(value, indent + 1, out)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
+    elif isinstance(obj, (list, tuple)):
+        seq = list(obj)
         if not seq:
             out.append("[]")
             return
@@ -324,21 +356,38 @@ def cloud_csv(result):
 # ---------------------------------------------------------------------------
 # System documents
 
+#: Types that float() reads but a numeric field refuses
+_NOT_NUMBERS = frozenset({str, bool})
+
+
+def _leaves(value, depth):
+    """The items of value depth lists deep, in row-major order."""
+    leaves = [value]
+    for _ in range(depth):
+        leaves = itertools.chain.from_iterable(leaves)
+    return leaves
+
+
 def _float_array(name, value):
     """np.array(value, dtype=float), or CliParseError naming the field.
 
     A string or a boolean is not a number here, although float() reads
-    "0.5" and true as one.
+    "0.5" and true as one.  Once the conversion has succeeded, value
+    nests regularly, and one pass over the types of its leaves finds
+    them; a numeric array has none.
     """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "bOSU":
+        value = value.tolist()  # Python scalars, so str and bool show
     try:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise CliParseError("field '%s': %s" % (name, exc)) from exc
-    # the conversion succeeded, so value nests regularly
-    items = np.array(value, dtype=object).ravel()
-    if {str, bool} & set(map(type, items)):
+    if isinstance(value, np.ndarray):
+        return arr
+    if not _NOT_NUMBERS.isdisjoint(map(type, _leaves(value, arr.ndim))):
         raise CliParseError("field '%s': expected a number, got %r" % (
-            name, next(x for x in items if type(x) in (str, bool))))
+            name, next(x for x in _leaves(value, arr.ndim)
+                       if type(x) in _NOT_NUMBERS)))
     return arr
 
 
@@ -636,7 +685,10 @@ def _analyze_report(doc, tol):
     acc = accessibility(system, tol=tol)
     certs = noncontrollability_certificates(system)
     fp = system.fixed_point
-    if len(doc.controls):
+    if acc.route == "ad_su":
+        # the controls alone generate su(N), so drift and controls do too
+        ham_block = {"controllable": True, "dim": system.N * system.N - 1}
+    elif len(doc.controls):
         ham = hamiltonian_controllability(gellmann_basis(doc.N), doc.h0,
                                           doc.controls, tol=tol)
         ham_block = {"controllable": ham.controllable, "dim": ham.dim}

@@ -8,7 +8,8 @@ machine-checkable certificates of noncontrollability that hold whenever the
 dissipative part is nonzero.
 
 accessibility takes one route per input.  When the controls alone generate
-ad su(N), the algebra is Lie{ad su(N), D} for the dissipator D, and its
+ad su(N), which a closure of their n-vector coefficients decides (see
+_ad_su_rows), the algebra is Lie{ad su(N), D} for the dissipator D, and its
 linear part is ad su(N) plus whole pieces of gl(n), told apart by their
 Casimir values; a handful of projections and brackets decide which, every
 label included, with no n^2-row closure (see accessibility and
@@ -17,7 +18,8 @@ _piece_closure).  Every other system goes through closure and classify.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -315,6 +317,7 @@ class AccessibilityReport(NamedTuple):
     generations: int
     converged: bool
     features: dict
+    route: str
 
 
 def accessibility(system, tol=1e-9, max_generations=8):
@@ -322,39 +325,42 @@ def accessibility(system, tol=1e-9, max_generations=8):
 
     The system is accessible iff the closure is gl(n) or gl(n) x R^n.
     accessible is None (unknown) when the closure ran out of its generation
-    budget.  The input picks the route; both report the features, size
-    and label of the whole algebra at the same tol.
+    budget.  The input picks the route, named by route; both report the
+    features, size and label of the whole algebra at the same tol.
 
-    When the controls alone generate ad su(N) (see _ad_su_rows), the
-    Hamiltonian drift lies in it, so the algebra is Lie{ad su(N), D} for
-    the dissipator D.  Projection onto linear parts is a Lie homomorphism,
-    and the linear image is ad su(N) plus a union of whole Casimir pieces
-    of gl(n) (see _piece_closure), read off D.linear (only when |D.linear|
-    > tol * |D|) and a few brackets, with no rate scale left in it.  p is
-    n plus the dimensions of those pieces, has_trace says whether RI is
-    among them, and the label follows from the set of pieces; generations
-    counts the rounds of the piece closure.  The translation ideal is
-    invariant under ad su(N), which acts irreducibly, so it is 0 or all of
-    R^n; it is 0 iff every element fixes a common point, and ad su(N) fixes
-    only 0, so q = 0 iff |D.translation| <= tol * |D|, and closure_dim is
-    p + q.  Every other system gets the affine closure and its features.
-    A tol outside (0, 1) raises ValueError.
+    route "ad_su": the controls alone generate ad su(N) and the Hamiltonian
+    drift lies in it (see _ad_su_rows), so the algebra is Lie{ad su(N), D}
+    for the dissipator D.  Projection onto linear parts is a Lie
+    homomorphism, and the linear image is ad su(N) plus a union of whole
+    Casimir pieces of gl(n) (see _piece_closure), read off D.linear (only
+    when |D.linear| > tol * |D|) and a few brackets, with no rate scale
+    left in it.  p is n plus the dimensions of those pieces, has_trace
+    says whether RI is among them, and the label follows from the set of
+    pieces; generations counts the rounds of the piece closure.  The
+    translation ideal is invariant under ad su(N), which acts irreducibly,
+    so it is 0 or all of R^n; it is 0 iff every element fixes a common
+    point, and ad su(N) fixes only 0, so q = 0 iff |D.translation| <=
+    tol * |D|, and closure_dim is p + q.
+
+    route "affine": every other system gets the affine closure and its
+    features.  A tol outside (0, 1) raises ValueError.
     """
     _check_tol(tol)
-    su = _ad_su_rows(system, tol, max_generations)
-    if su is None:
+    if _ad_su_rows(system, tol, max_generations) is None:
+        route = "affine"
         c = closure([system.drift, *system.controls], tol=tol,
                     max_generations=max_generations)
         (p, q, has_trace), dim = c.features, c.dim
         generations, converged, label = (c.generations, c.converged,
                                          c.classification)
     else:
+        route = "ad_su"
         N, n = system.N, system.N * system.N - 1
         D = system.dissipator
         linear = (D.linear if np.linalg.norm(D.linear) > tol * D.norm()
                   else None)
         pieces, generations, converged = _piece_closure(
-            su, N, linear, tol, max_generations)
+            N, linear, tol, max_generations)
         dims = {name: dim for name, _, _, dim in _piece_table(N)}
         p = n + sum(dims[name] for name in pieces)
         q = 0 if np.linalg.norm(D.translation) <= tol * D.norm() else n
@@ -364,34 +370,52 @@ def accessibility(system, tol=1e-9, max_generations=8):
     features = {"linear_dim": p, "translation_dim": q, "has_trace": has_trace}
     accessible = label in ACCESSIBLE_LABELS if converged else None
     return AccessibilityReport(accessible, dim, label, generations,
-                               converged, features)
+                               converged, features, route)
+
+
+@lru_cache(maxsize=None)
+def _ad_su_basis(N):
+    """Orthonormal flat n x n rows f_j / sqrt(2N) of ad su(N), read-only.
+
+    Row j is the slice f_j of the structure tensor, the adjoint generator
+    of lambda_j up to sign.  The rows are orthonormal because the Killing
+    form of su(N) is 2N times the trace form: sum_kl f_jkl f_mkl = 2N
+    delta_jm in this basis's normalization (Schirmer, Fu and Solomon,
+    Phys. Rev. A 63, 063410 (2001)).  Built on first use, once per N.
+    """
+    n = N * N - 1
+    rows = gellmann_basis(N).f.reshape(n, n * n) / math.sqrt(2.0 * N)
+    rows.flags.writeable = False
+    return rows
 
 
 def _ad_su_rows(system, tol, max_generations):
-    """Orthonormal flat n x n rows of ad su(N) spanned by the controls.
+    """_ad_su_basis(N) when the controls generate ad su(N), else None.
 
-    None when there are no controls, when the controls' linear parts do not
-    close to dimension n, or when those n rows do not span ad su(N).  The
-    rows span ad su(N) when the adjoint generators of the basis (the
-    slices of its structure tensor f) lie in their span to tol; the
-    Hamiltonian must lie there too.  Hamiltonian drift and controls always
-    pass; other skew generators may not, and then take the affine route.
+    None when there are no controls, when the linear part L of a control
+    or of the Hamiltonian drift has a residual above tol * |L| off the
+    span of the ad su(N) rows, or when the controls' coefficients in those
+    rows do not close to all n directions within max_generations rounds.
+    The coefficients close under the bracket of hamiltonian_controllability
+    (see _coefficient_closure): h -> adjoint_generator(h) is a Lie algebra
+    homomorphism, and the coefficients are -sqrt(2N) h, a scale the
+    closure does not see.  Hamiltonian drift and controls always pass the
+    residual test; other skew generators may not, and then take the affine
+    route.
     """
     if not system.controls:
         return None
-    n = system.N * system.N - 1
-    su, _, _ = _bracket_closure(
-        np.array([c.linear.ravel() for c in system.controls]),
-        _matrix_commutator(n), n, tol, max_generations)
-    if len(su) < n:
+    N = system.N
+    su = _ad_su_basis(N)
+    linear = np.array([g.linear.ravel()
+                       for g in (system.hamiltonian, *system.controls)])
+    coeffs = linear @ su.T
+    residual = np.linalg.norm(linear - coeffs @ su, axis=1)
+    if np.any(residual > tol * np.linalg.norm(linear, axis=1)):
         return None
-    h = system.hamiltonian.linear.ravel()
-    ad = gellmann_basis(system.N).f.reshape(n, n * n)
-    if (np.linalg.norm(h - (su @ h) @ su) > tol * np.linalg.norm(h)
-            or np.linalg.norm(ad - (ad @ su.T) @ su)
-            > tol * np.linalg.norm(ad)):
-        return None
-    return su
+    rows, _, _ = _coefficient_closure(gellmann_basis(N).f, coeffs[1:], tol,
+                                      max_generations)
+    return su if len(rows) == len(su) else None
 
 
 def _piece_table(N):
@@ -416,10 +440,13 @@ def _piece_table(N):
              N * N * (N + 1) * (N - 3) // 4 if N >= 4 else 0))
 
 
-def _piece_projector(su, N):
+@lru_cache(maxsize=None)
+def _piece_projector(N):
     """project(x): the components of a (m, n, n) stack in each piece.
 
-    su holds orthonormal flat rows k_i of ad su(N).  The Casimir operator
+    k_i are the orthonormal flat rows of ad su(N), _ad_su_basis(N), so
+    the projector depends on N alone; it is built once per N, on first
+    use.  The Casimir operator
     Omega(X) = sum_i [k_i, [k_i, X]] equals -2 (X + sum_i k_i X k_i),
     because sum_i k_i k_i = -I on ad su(N), and costs O(n^4).  Omega is
     c times the Casimir ratio on each piece, with c read from one K row.
@@ -429,7 +456,7 @@ def _piece_projector(su, N):
     from piece name to the (m, n, n) components, nonempty pieces only.
     """
     n = N * N - 1
-    k = su.reshape(n, n, n)
+    k = _ad_su_basis(N).reshape(n, n, n)
     kt = k.transpose(1, 0, 2).reshape(n, n * n)
 
     def omega(x):
@@ -467,7 +494,19 @@ def _piece_projector(su, N):
     return project
 
 
-def _piece_closure(su, N, linear, tol, max_generations):
+@lru_cache(maxsize=None)
+def _generic_pieces(N):
+    """Two generic elements of every piece: the projections of a fixed-seed
+    (2, n, n) normal draw, read-only, built once per N on first use."""
+    n = N * N - 1
+    parts = _piece_projector(N)(np.random.default_rng(0).standard_normal(
+        (2, n, n)))
+    for x in parts.values():
+        x.flags.writeable = False
+    return MappingProxyType(parts)
+
+
+def _piece_closure(N, linear, tol, max_generations):
     """(pieces, generations, converged) of Lie{ad su(N), linear}.
 
     The algebra is a K-module that contains K = ad su(N), so it is K plus
@@ -476,7 +515,7 @@ def _piece_closure(su, N, linear, tol, max_generations):
     set of names.  It starts from the pieces where the projection of
     linear (an n x n matrix, or None for none) exceeds tol * |linear|.
     Each round brackets generic elements of every pair of pieces, new
-    ones among them, drawn from a fixed seed (two independent elements
+    ones among them, from _generic_pieces (two independent elements
     for a piece paired with itself), and adds each piece the bracket's
     projection reaches above tol * |x| |y|.  Brackets with K stay in
     their piece and brackets with RI vanish, so neither is paired, and RI
@@ -485,8 +524,7 @@ def _piece_closure(su, N, linear, tol, max_generations):
     a piece, and converged is False when max_generations of them ran out
     with a reachable piece still missing.
     """
-    n = N * N - 1
-    project = _piece_projector(su, N)
+    project = _piece_projector(N)
     pieces = set()
     if linear is not None:
         parts = project(linear[None])
@@ -496,13 +534,10 @@ def _piece_closure(su, N, linear, tol, max_generations):
                  if dim and name not in ("K", "RI")}
     frontier = pieces & reachable
     generations = 0
-    generic = None
     while frontier and not reachable <= pieces:
         if generations == max_generations:
             return pieces, generations, False
-        if generic is None:
-            generic = project(np.random.default_rng(0).standard_normal(
-                (2, n, n)))
+        generic = _generic_pieces(N)
         active = sorted(pieces & reachable)
         pairs = [(a, b) for i, a in enumerate(active) for b in active[i:]
                  if a in frontier or b in frontier]
@@ -616,13 +651,19 @@ def hamiltonian_controllability(basis, h0, hks, tol=1e-9):
         if h.shape != (n,):
             raise ValueError("coefficient vectors must have length %d" % n)
 
-    def commutator(stack, x):
-        return stack @ np.einsum("jkl,k->jl", basis.f, x)
-
     # Each productive round adds a row, so a budget of n rounds never binds.
-    rows, _, _ = _bracket_closure(np.array(seeds), commutator, n, tol, n)
+    rows, _, _ = _coefficient_closure(basis.f, np.array(seeds), tol, n)
     dim = len(rows)
     return HamiltonianControllabilityReport(dim == n, dim)
+
+
+def _coefficient_closure(f, seeds, tol, max_generations):
+    """_bracket_closure of (k, n) coefficient rows under the bracket
+    (h, g)_l = sum_jk f_jkl h_j g_k of the structure tensor f."""
+    def commutator(stack, x):
+        return stack @ np.einsum("jkl,k->jl", f, x)
+
+    return _bracket_closure(seeds, commutator, len(f), tol, max_generations)
 
 
 #: Tabulated expansion coefficients c_{jk}^l in [M_j, M_k] = sum_l c M_l for

@@ -5,6 +5,9 @@ as naive loops, sharing as little code as possible with the package, so
 agreement is meaningful.
 """
 
+import json
+import math
+
 import numpy as np
 
 from lindbladctl import (AffineGenerator, PiecewiseControl, gellmann_basis,
@@ -267,6 +270,36 @@ def taxonomy_label(linears, p, q, has_trace, n, tol):
     return base + suffix
 
 
+def ad_su_row_closure(system, tol=1e-9, max_generations=8):
+    """Orthonormal flat n x n rows of ad su(N) spanned by the controls.
+
+    None when there are no controls, when the controls' linear parts do not
+    close to dimension n, or when those n rows do not span ad su(N).  The
+    rows span ad su(N) when the adjoint generators of the basis (the
+    slices of its structure tensor f) lie in their span to tol; the
+    Hamiltonian must lie there too.  This is how accessibility picked its
+    route before it closed the controls' coefficient vectors instead: a
+    closure of n^2-long rows by liealg's bracket engine.
+    """
+    from lindbladctl import liealg
+
+    if not system.controls:
+        return None
+    n = system.N * system.N - 1
+    su, _, _ = liealg._bracket_closure(
+        np.array([c.linear.ravel() for c in system.controls]),
+        liealg._matrix_commutator(n), n, tol, max_generations)
+    if len(su) < n:
+        return None
+    h = system.hamiltonian.linear.ravel()
+    ad = gellmann_basis(system.N).f.reshape(n, n * n)
+    if (np.linalg.norm(h - (su @ h) @ su) > tol * np.linalg.norm(h)
+            or np.linalg.norm(ad - (ad @ su.T) @ su)
+            > tol * np.linalg.norm(ad)):
+        return None
+    return su
+
+
 def linear_closure(system, tol=1e-9, max_generations=8):
     """(p, q, has_trace, label, converged) of Lie{ad su(N), D} by closure.
 
@@ -277,8 +310,8 @@ def linear_closure(system, tol=1e-9, max_generations=8):
     the rows' traces against tol, q is 0 iff |D.translation| <= tol * |D|
     (the translation ideal is 0 or R^n), and the label is taxonomy_label
     of the rows.  This is what accessibility computed before it read the
-    algebra off the Casimir pieces; apart from _ad_su_rows, which picks
-    the route, it shares no code with that route.
+    algebra off the Casimir pieces; apart from the bracket engine, it
+    shares no code with that route.
     Known defect: near tol, rounding noise can pass as a new row, so on a
     traceless D made of the D_d piece alone it can accept noise rows and
     then the identity, answering gl(n) where the algebra is sl(n).
@@ -287,7 +320,7 @@ def linear_closure(system, tol=1e-9, max_generations=8):
 
     n = system.N * system.N - 1
     D = system.dissipator
-    seeds = liealg._ad_su_rows(system, tol, max_generations)
+    seeds = ad_su_row_closure(system, tol, max_generations)
     assert seeds is not None, "the controls do not generate ad su(N)"
     if np.linalg.norm(D.linear) > tol * D.norm():
         seeds = np.vstack([seeds, D.linear.reshape(1, -1)])
@@ -415,3 +448,77 @@ def sample_reachable_loop(system, rho_init, horizon, num_samples=500, seed=0,
             t_prev = t
         assert gi == grid_points
     return points, max_increase
+
+
+def _reference_number(x):
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("cannot serialize non-finite number %r" % x)
+    if x == 0.0:
+        x = 0.0  # normalize -0.0
+    return "%.17g" % x
+
+
+def _reference_is_scalar(x):
+    return x is None or isinstance(x, (bool, int, float, str,
+                                       np.bool_, np.integer, np.floating))
+
+
+def _reference_write(obj, indent, out):
+    pad = "  " * indent
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (bool, int, float, np.bool_, np.integer,
+                          np.floating)):
+        out.append(_reference_number(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        items = list(obj.items())
+        for i, (key, value) in enumerate(items):
+            out.append(pad + "  " + json.dumps(str(key)) + ": ")
+            _reference_write(value, indent + 1, out)
+            out.append(",\n" if i + 1 < len(items) else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        seq = (list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray)
+               else list(obj))
+        if not seq:
+            out.append("[]")
+            return
+        if all(_reference_is_scalar(x) for x in seq):
+            parts = []
+            for x in seq:
+                sub = []
+                _reference_write(x, 0, sub)
+                parts.append("".join(sub))
+            out.append("[" + ", ".join(parts) + "]")
+            return
+        out.append("[\n")
+        for i, value in enumerate(seq):
+            out.append(pad + "  ")
+            _reference_write(value, indent + 1, out)
+            out.append(",\n" if i + 1 < len(seq) else "\n")
+        out.append(pad + "]")
+    else:
+        raise TypeError("cannot serialize %r" % type(obj))
+
+
+def reference_dumps(obj):
+    """cli.dumps_report's text, one value at a time.
+
+    The recursive writer that dumps_report used before it wrote float
+    rows whole: every number goes through its own %.17g formatter,
+    and every sequence is converted to a list and checked for scalars.
+    """
+    out = []
+    _reference_write(obj, 0, out)
+    return "".join(out) + "\n"

@@ -12,15 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from _oracles import d_piece_document, random_psd
+from _oracles import d_piece_document, random_psd, reference_dumps
 from lindbladctl.cli import (TOLERANCES, CliParseError, SystemDocument,
                              _fmt_number, cloud_csv, cmd_analyze,
                              dumps_report, main, trajectory_csv)
 from lindbladctl import (CoherenceVector, PiecewiseControl, accessibility,
                          check_psd, dynamics, fixed_point, is_physical,
-                         is_unital, preset, propagate, sample_reachable,
-                         selfcheck)
+                         is_unital, liealg, preset, propagate,
+                         sample_reachable, selfcheck)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,6 +62,50 @@ def test_dumps_report_rejects_nonfinite():
 def test_dumps_report_deterministic():
     payload = {"m": np.arange(3) / 7.0, "k": [True, None, "s"]}
     assert dumps_report(payload) == dumps_report(payload)
+
+
+def _report_values(floats):
+    """Nested reports of dicts, lists and tuples over every kind of value
+    dumps_report writes, with floats drawn from floats."""
+    floats = st.one_of(floats, st.sampled_from(
+        [-0.0, 5e-324, 1e-300, 1e300, 0.1, -1.0 / 3.0]))
+    leaves = st.one_of(
+        floats, floats.map(np.float64), st.floats(width=32).map(np.float32),
+        st.integers(-2**70, 2**70), st.integers(-2**62, 2**62).map(np.int64),
+        st.booleans(), st.booleans().map(np.bool_), st.none(),
+        st.text(max_size=6),
+        st.text(alphabet='"\\\n\u00e9\u20ac\U0001f600 a', max_size=6),
+        st.lists(st.one_of(floats, floats.map(np.float64)), max_size=5),
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2,
+                                                min_side=0, max_side=4),
+                   elements=floats))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+        max_leaves=16)
+
+
+def _written(dumps, obj):
+    try:
+        return dumps(obj)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(report=_report_values(st.floats(allow_nan=False,
+                                       allow_infinity=False)))
+def test_dumps_report_matches_reference_writer(report):
+    """Row-wise float writing gives the recursive writer's bytes."""
+    assert dumps_report(report) == reference_dumps(report)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(report=_report_values(st.floats()))
+def test_dumps_report_refuses_nonfinite_like_reference_writer(report):
+    """With nan and inf about, both writers stop at the same value."""
+    assert _written(dumps_report, report) == _written(reference_dumps,
+                                                      report)
 
 
 def test_csv_writers():
@@ -186,6 +231,44 @@ def test_cli_import_does_not_load_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_python_m_lindbladctl_runs_the_cli():
+    """The package runs as a module, with no runpy warning about cli."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-m", "lindbladctl", "verify"], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "verify: 8/8 checks passed"
+
+
+def test_analyze_runs_one_bracket_closure(tmp_path, monkeypatch):
+    """On a random N=4 document with 2 controls, the controls' coefficient
+    closure decides the route and the Hamiltonian block alike."""
+    calls = []
+    engine = liealg._bracket_closure
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(liealg, "_bracket_closure", counting)
+    rng = np.random.default_rng(62)
+    A = random_psd(rng, 15)
+    doc = tmp_path / "doc.json"
+    doc.write_text(SystemDocument(N=4, h0=rng.normal(size=15),
+                                  controls=rng.normal(size=(2, 15)),
+                                  a_real=A.real, a_imag=A.imag).to_json())
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(doc), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    report = json.loads(out.read_text())
+    assert report["hamiltonian_controllability"] == {"controllable": True,
+                                                     "dim": 15}
+    assert report["accessibility"]["classification"] == "gl(n) x R^n"
 
 
 # ---------------------------------------------------------------------------

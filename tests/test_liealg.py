@@ -2,23 +2,28 @@
 
 import dataclasses
 import itertools
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (affine_lie_dim, casimir_pieces, closure_features,
-                      closure_label, closure_members, d_piece_document,
-                      linear_closure, matrix_lie_dim, random_psd)
+from _oracles import (ad_su_row_closure, affine_lie_dim, casimir_pieces,
+                      closure_features, closure_label, closure_members,
+                      d_piece_document, linear_closure, matrix_lie_dim,
+                      random_psd)
 from lindbladctl import (PRESET_NAMES, AffineGenerator, ControlSystem,
                         GksMatrix, accessibility, adjoint_generator,
                         assemble_dissipator, bracket, classify, closure,
                         gellmann_basis, hamiltonian_controllability, liealg,
                         m_matrix, noncontrollability_certificates, preset,
                         two_level_gks, verify_structure_constants)
-from lindbladctl.cli import SystemDocument
+from lindbladctl.cli import SystemDocument, _analyze_report
 from lindbladctl.liealg import BRACKET_TABLE
 from lindbladctl.selfcheck import TAXONOMY_CASES, two_level_system
 
@@ -345,12 +350,9 @@ def test_non_hamiltonian_drift_takes_the_affine_route(monkeypatch):
         [system.drift, *system.controls])[0]
 
 
-def test_skew_controls_closing_to_u2_plus_u2_take_the_affine_route():
-    """u(2) + u(2), block diagonal on R^4 + R^4, is a Lie algebra of
-    dimension n = 8 at N = 3 whose orthonormal rows R also give sum R^T R
-    = I, but it is not ad su(N), so the Casimir pieces do not apply.  Its
-    closure with D = -I on the first block has dimension 9; read through
-    the pieces it would be gl(n)."""
+def _u2_plus_u2_system():
+    """N = 3 with two skew controls in u(2) + u(2), block diagonal on
+    R^4 + R^4, and D = -I on the first block."""
     def realify(m):
         return np.block([[m.real, -m.imag], [m.imag, m.real]])
 
@@ -365,14 +367,110 @@ def test_skew_controls_closing_to_u2_plus_u2_take_the_affine_route():
         linear[4:, 4:] = np.tensordot(rng.normal(size=4), u2, axes=1)
         return AffineGenerator(linear)
 
-    system = ControlSystem(N=3, hamiltonian=AffineGenerator.zero(8),
-                           controls=(control(), control()),
-                           dissipator=AffineGenerator(
-                               -np.diag([1.0] * 4 + [0.0] * 4)))
+    return ControlSystem(N=3, hamiltonian=AffineGenerator.zero(8),
+                         controls=(control(), control()),
+                         dissipator=AffineGenerator(
+                             -np.diag([1.0] * 4 + [0.0] * 4)))
+
+
+def test_skew_controls_closing_to_u2_plus_u2_take_the_affine_route():
+    """u(2) + u(2) is a Lie algebra of dimension n = 8 at N = 3 whose
+    orthonormal rows R also give sum R^T R = I, but it is not ad su(N), so
+    the Casimir pieces do not apply.  Its closure with the dissipator has
+    dimension 9; read through the pieces it would be gl(n)."""
+    system = _u2_plus_u2_system()
     assert affine_lie_dim(system.controls)[0] == 8
     assert liealg._ad_su_rows(system, 1e-9, 8) is None
     assert _verdict(accessibility(system)) == (False, 9, "other")
     assert affine_lie_dim([system.drift, *system.controls])[0] == 9
+
+
+def _route_documents():
+    """Documents on both routes: the preset grid, the qubit taxonomy,
+    random systems with 1 to 3 controls at N = 2..5, and one commuting
+    (diagonal) control with a diagonal drift, closed-system rank 1."""
+    docs = [SystemDocument.from_preset(name, gamma=gamma, h03=h03)
+            for name in PRESET_NAMES for gamma, h03 in PRESET_GRID]
+    for _, params, _, _ in TAXONOMY_CASES:
+        entries = two_level_gks(params).entries
+        docs.append(SystemDocument(N=2, h0=np.zeros(3),
+                                   controls=np.eye(3) / np.sqrt(2.0),
+                                   a_real=entries.real, a_imag=entries.imag))
+    rng = np.random.default_rng(60)
+    for N in (2, 3, 4, 5):
+        n = N * N - 1
+        for h0, controls in [(rng.normal(size=n), rng.normal(size=(q, n)))
+                             for q in (1, 2, 3)] + [(np.eye(n)[-1],
+                                                     np.eye(n)[-1:])]:
+            A = random_psd(rng, n)
+            docs.append(SystemDocument(N=N, h0=h0, controls=controls,
+                                       a_real=A.real, a_imag=A.imag))
+    return docs
+
+
+def test_route_matches_row_closure_oracle():
+    """_ad_su_rows, which closes the controls' coefficient vectors, takes
+    the route the n^2-row closure of their linear parts took, on the
+    route documents, on one-control presets and on skew controls outside
+    ad su(N)."""
+    damping = preset("amplitude_damping")
+    systems = ([doc.to_control_system() for doc in _route_documents()]
+               + [dataclasses.replace(damping, controls=damping.controls[:1]),
+                  _u2_plus_u2_system()])
+    routes = []
+    for system in systems:
+        oracle = ad_su_row_closure(system) is not None
+        assert (liealg._ad_su_rows(system, 1e-9, 8) is not None) == oracle
+        assert accessibility(system).route == ("ad_su" if oracle
+                                               else "affine")
+        routes.append(oracle)
+    # the affine route: the one-control documents and the last two systems
+    assert routes.count(False) == 10 and routes.count(True) == 95
+
+
+def test_analyze_hamiltonian_block_matches_rank_test():
+    """analyze reads the Hamiltonian block off the ad su(N) route when it
+    can; the block still equals hamiltonian_controllability everywhere."""
+    seen = set()
+    for doc in _route_documents():
+        block = _analyze_report(doc, 1e-9)[0]["hamiltonian_controllability"]
+        ham = hamiltonian_controllability(gellmann_basis(doc.N), doc.h0,
+                                          doc.controls)
+        assert block == {"controllable": ham.controllable, "dim": ham.dim}
+        seen.add(ham.controllable)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_ad_su_basis_rows_are_orthonormal(N):
+    rows = liealg._ad_su_basis(N)
+    assert rows.shape == (N * N - 1, (N * N - 1) ** 2)
+    np.testing.assert_allclose(rows @ rows.T, np.eye(N * N - 1), atol=1e-12)
+    assert not rows.flags.writeable
+
+
+def test_per_n_route_data_is_built_on_first_use():
+    """Importing the CLI and building the basis leave the per-N route
+    caches empty.  The first accessibility call at N builds the basis and
+    the projector; the phase-flip dissipator reaches every piece at once,
+    so no bracket round runs and the generic elements are not drawn."""
+    env = dict(os.environ)
+    root = Path(__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = ("import lindbladctl.cli\n"
+            "from lindbladctl import liealg, preset\n"
+            "from lindbladctl.su_basis import gellmann_basis\n"
+            "caches = (liealg._ad_su_basis, liealg._piece_projector,\n"
+            "          liealg._generic_pieces)\n"
+            "gellmann_basis(4)\n"
+            "print([c.cache_info().currsize for c in caches])\n"
+            "liealg.accessibility(preset('phase_flip'))\n"
+            "print([c.cache_info().currsize for c in caches])\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[0, 0, 0]", "[1, 1, 0]"]
 
 
 #: Dimensions of the nonempty pieces of gl(n) under ad su(N) (ROADMAP
@@ -395,9 +493,7 @@ def test_piece_projector_matches_casimir_eigenspaces(N):
     assert {name: len(b) for name, b in pieces.items()} == _table_dims(N)
     assert {name: dim for name, _, _, dim in liealg._piece_table(N)
             if dim} == _table_dims(N)
-    system = _random_system(np.random.default_rng(40 + N), N)
-    project = liealg._piece_projector(
-        liealg._ad_su_rows(system, 1e-9, 8), N)
+    project = liealg._piece_projector(N)
     x = np.random.default_rng(50 + N).normal(size=(2, N * N - 1, N * N - 1))
     parts = project(x)
     assert set(parts) == set(pieces)
