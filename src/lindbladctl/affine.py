@@ -80,8 +80,8 @@ class AffineGenerator:
         return self.homogeneous @ np.asarray(rho_bar, dtype=float)
 
     def norm(self):
-        """Frobenius norm of the homogeneous form."""
-        return float(np.linalg.norm(self.homogeneous))
+        """Frobenius norm of the homogeneous form (see _stable_norm)."""
+        return _stable_norm(self.homogeneous)
 
     def is_zero(self, tol=1e-12):
         return np.max(np.abs(self.homogeneous)) <= tol
@@ -117,6 +117,30 @@ class AffineGenerator:
     def __repr__(self):
         return "AffineGenerator(n=%d, linear=%r, translation=%r)" % (
             self.n, self.linear.tolist(), self.translation.tolist())
+
+
+def _pow2_scaled(x, axis=None):
+    """x times the power of two that puts its largest |entry| in [1/2, 1).
+
+    With axis, each slice along it gets its own power.  Scaling by a power
+    of two is exact (short of subnormals), so norms and their ratios taken
+    afterwards neither overflow nor underflow in the squares, and at
+    ordinary scales they compare exactly as the unscaled ones do.  A zero
+    or non-finite slice is left as it is.
+    """
+    x = np.asarray(x, dtype=float)
+    big = np.max(np.abs(x), axis=axis, keepdims=True, initial=0.0)
+    return np.ldexp(x, -np.frexp(big)[1])
+
+
+def _stable_norm(x):
+    """Frobenius norm of x, taken on _pow2_scaled(x) and scaled back; inf
+    only when the norm itself exceeds the largest double."""
+    x = np.asarray(x, dtype=float)
+    exponent = np.frexp(np.max(np.abs(x), initial=0.0))[1]
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(np.ldexp(x, -exponent)),
+                              exponent))
 
 
 def bracket(x, y):

@@ -14,6 +14,7 @@ dissipator from its GKS matrix reproduces them exactly, which is covered by
 the test suite.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +70,7 @@ def bloch_hamiltonian(h):
 
 @dataclass(frozen=True)
 class ChannelPreset:
-    """Named two-level channel with positive parameters.
+    """Named two-level channel with finite parameters.
 
     Supported names: depolarizing, phase_flip, bit_flip, bit_phase_flip,
     amplitude_damping.  All take a rate parameter gamma >= 0; all accept an
@@ -88,6 +89,10 @@ class ChannelPreset:
         if unknown:
             raise ValueError("unknown parameters for preset %r: %s"
                              % (self.name, ", ".join(sorted(unknown))))
+        for name in sorted(self.params):
+            if not math.isfinite(float(self.params[name])):
+                raise ValueError("%s must be finite, got %r"
+                                 % (name, self.params[name]))
         if float(self.params.get("gamma", 1.0)) < 0.0:
             raise ValueError("gamma must be nonnegative")
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .affine import AffineGenerator
+from .affine import AffineGenerator, _stable_norm
 
 __all__ = ["GksMatrix", "AffineGenerator", "assemble_dissipator",
            "check_psd", "PsdReport", "check_minors_2level", "MinorsReport",
@@ -92,28 +92,34 @@ def assemble_dissipator(A, basis):
     G_lr = tr(lambda_l D(lambda_r)), with D written as an N^2 x N^2
     Liouville supermatrix acting on row-major vec(X).  A residual imaginary
     part above 1e-12 * max(1, max|A|) indicates a non-Hermitian input and
-    raises.
+    raises ValueError.  Entries so large that the generator overflows a
+    double raise FloatingPointError, without RuntimeWarnings.
     """
     entries = A.entries if isinstance(A, GksMatrix) else np.asarray(A, dtype=complex)
     n, N = basis.n, basis.N
     if entries.shape != (n, n):
         raise ValueError("A must be %d x %d" % (n, n))
-    vecs = basis.lambdas.reshape(n, N * N)
-    c = (entries @ vecs).reshape(n, N, N)        # c_j = sum_k a_jk lambda_k
-    K = np.einsum("jab,jbc->ac", c, basis.lambdas)  # sum_jk a_jk lambda_k lambda_j
-    # sum_jk a_jk lambda_j X lambda_k maps X[b, c] to out[a, d] with weight
-    # sum_j lambda_j[a, b] c_j[c, d].
-    jump = (vecs.T @ c.reshape(n, N * N)).reshape(N, N, N, N)
-    eye = np.eye(N)
-    sup = (jump.transpose(0, 3, 1, 2).reshape(N * N, N * N)
-           - 0.5 * (np.kron(K, eye) + np.kron(eye, K.T)))
-    linear = vecs.conj() @ sup @ vecs.T
-    # Translation: sum_jk a_jk v_jk = (i/sqrt(N)) sum_jk a_jk f_jkl.  Re A
-    # and Im A are contracted separately, so f is never copied to complex
-    # and a real A gives a translation of exactly zero.
-    f = basis.f.reshape(n * n, n)
-    translation = (1.0j / np.sqrt(N)) * (entries.real.ravel() @ f
-                                         + 1.0j * (entries.imag.ravel() @ f))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vecs = basis.lambdas.reshape(n, N * N)
+        c = (entries @ vecs).reshape(n, N, N)    # c_j = sum_k a_jk lambda_k
+        # K = sum_jk a_jk lambda_k lambda_j
+        K = np.einsum("jab,jbc->ac", c, basis.lambdas)
+        # sum_jk a_jk lambda_j X lambda_k maps X[b, c] to out[a, d] with
+        # weight sum_j lambda_j[a, b] c_j[c, d].
+        jump = (vecs.T @ c.reshape(n, N * N)).reshape(N, N, N, N)
+        eye = np.eye(N)
+        sup = (jump.transpose(0, 3, 1, 2).reshape(N * N, N * N)
+               - 0.5 * (np.kron(K, eye) + np.kron(eye, K.T)))
+        linear = vecs.conj() @ sup @ vecs.T
+        # Translation: sum_jk a_jk v_jk = (i/sqrt(N)) sum_jk a_jk f_jkl.
+        # Re A and Im A are contracted separately, so f is never copied to
+        # complex and a real A gives a translation of exactly zero.
+        f = basis.f.reshape(n * n, n)
+        translation = (1.0j / np.sqrt(N)) * (
+            entries.real.ravel() @ f + 1.0j * (entries.imag.ravel() @ f))
+    if not (np.all(np.isfinite(linear)) and np.all(np.isfinite(translation))):
+        raise FloatingPointError("the assembled dissipator overflows a "
+                                 "double: the GKS entries are too large")
     tol = _scaled_tol(entries)
     if np.max(np.abs(linear.imag)) > tol or np.max(np.abs(translation.imag)) > tol:
         raise ValueError("assembled dissipator has an imaginary part; "
@@ -189,8 +195,11 @@ def two_level_gks(params):
 
 
 def is_unital(L, tol=1e-12):
-    """True when the generator has no translation part (fixes the identity)."""
-    return float(np.linalg.norm(L.translation)) <= tol
+    """True when the generator has no translation part (fixes the identity).
+
+    The translation's norm is taken as affine._stable_norm does, so large
+    entries cannot overflow it."""
+    return _stable_norm(L.translation) <= tol
 
 
 def split_trace(L):

@@ -14,6 +14,8 @@ linear part is ad su(N) plus whole pieces of gl(n), told apart by their
 Casimir values; a handful of projections and brackets decide which, every
 label included, with no n^2-row closure (see accessibility and
 _piece_closure).  Every other system goes through closure and classify.
+Both routes, closure and classify name the algebra with one labeller,
+_label.
 """
 
 import math
@@ -24,7 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .affine import AffineGenerator, bracket
+from .affine import AffineGenerator, _pow2_scaled, bracket
 from .dissipator import (PsdReport, _scaled_tol, check_psd, fixed_point,
                          is_unital)
 from .states import purity
@@ -111,7 +113,7 @@ class LieClosure:
     converged is False only if the generation budget ran out while new
     elements were still appearing.  features is (p, q, has_trace) at the
     closure's tol, as described in classify, and classification is the
-    label they give (None when not converged).  Instances compare by
+    label classify gives (None when not converged).  Instances compare by
     identity.
     """
 
@@ -133,7 +135,8 @@ def _bracket_closure(seeds, commutator, max_dim, tol, max_generations):
     seeds is a (k, L) array of flat generators; commutator(stack, x) returns
     the flat brackets [stack_i, x] of every row of stack with x.  Each
     candidate is unit-normalized, so the acceptance threshold is scale-free,
-    and kept when its residual against the accepted rows exceeds tol.  A
+    and kept when its residual against the accepted rows exceeds tol; the
+    seeds are scaled by powers of two first, so none overflows its norm.  A
     bracket whose raw norm is at most tol is dropped before normalizing: its
     inputs are orthonormal rows, so it is zero up to rounding.  The seeds
     are tried first; then every round brackets each member new in the
@@ -167,7 +170,7 @@ def _bracket_closure(seeds, commutator, max_dim, tol, max_generations):
                 rows[dim] = v / r
                 dim += 1
 
-    accept(seeds, 1e-300)
+    accept(_pow2_scaled(seeds, axis=1), 1e-300)
     generations = 0
     lo = 0
     while dim < max_dim and generations < max_generations:
@@ -228,62 +231,61 @@ def closure(generators, tol=1e-9, max_generations=8):
     if not len(rows):
         raise ValueError("all generators are numerically zero")
     rows.flags.writeable = False
-    stack = rows.reshape(-1, m, m)
-    features = _features(stack, tol)
-    label = (_label(stack[:, 1:, 1:], features, tol) if converged
-             else None)
+    features, label = _features_and_label(rows.reshape(-1, m, m), tol)
     return LieClosure(rows=rows, generations=generations, converged=converged,
-                      classification=label, n=n, features=features)
+                      classification=label if converged else None, n=n,
+                      features=features)
 
 
-def _features(stack, tol):
-    """(p, q, has_trace) of a (dim, n+1, n+1) stack of homogeneous rows.
+def _features_and_label(stack, tol):
+    """((p, q, has_trace), label) of a (dim, n+1, n+1) stack of rows.
 
     p is the rank of the linear parts, q = dim - p the translation
     dimension, and has_trace tests the norm of the traces against tol.
+    Containing ad su(N) matters to _label only when p - has_trace = n, so
+    only then is it tested, by one SVD of at most 2n + 1 rows: each row of
+    _ad_su_basis(N) must lie within tol of the span of the linear parts.
     """
-    linear = stack[:, 1:, 1:]
-    p = int(np.linalg.matrix_rank(linear.reshape(len(stack), -1), tol=tol))
-    traces = np.trace(linear, axis1=1, axis2=2)
-    return p, len(stack) - p, bool(np.linalg.norm(traces) > tol)
+    n = stack.shape[1] - 1
+    linear = stack[:, 1:, 1:].reshape(len(stack), -1)
+    p = int(np.linalg.matrix_rank(linear, tol=tol))
+    traces = np.trace(stack[:, 1:, 1:], axis1=1, axis2=2)
+    has_trace = bool(np.linalg.norm(traces) > tol)
+    N = math.isqrt(n + 1)
+    spans_ad_su = False
+    if p - has_trace == n and N * N == n + 1:
+        su = _ad_su_basis(N)
+        span = np.linalg.svd(linear, full_matrices=False)[2][:p]
+        residual = su - (su @ span.T) @ span
+        spans_ad_su = bool(np.all(np.linalg.norm(residual, axis=1) <= tol))
+    q = len(stack) - p
+    return (p, q, has_trace), _label(p, q, has_trace, n, spans_ad_su)
 
 
-def _label(linear, features, tol):
-    """Taxonomy label from features and a (dim, n, n) stack of linear parts."""
-    p, q, has_trace = features
-    n = linear.shape[1]
-    if q not in (0, n):
-        return "other"
+def _label(p, q, has_trace, n, spans_ad_su):
+    """Taxonomy label of an algebra with features (p, q, has_trace).
 
-    def max_sym_defect(remove_trace):
-        sym = 0.5 * (linear + linear.transpose(0, 2, 1))
-        if remove_trace:
-            traces = np.trace(sym, axis1=1, axis2=2)
-            sym = sym - (traces / n)[:, None, None] * np.eye(n)
-        return float(np.max(np.abs(sym)))
-
-    if p == n * n and has_trace:
+    spans_ad_su says whether its linear image contains ad su(N),
+    n = N^2 - 1.  That image is gl(n) iff p = n^2, and sl(n) iff
+    p = n^2 - 1 without trace.  Containing ad su(N), it is ad su(N) plus
+    whole pieces of gl(n) (see _piece_table), and RI is the only piece of
+    dimension 1: so p = n + has_trace means ad su(N), plus RI with the
+    trace.  Anything else is "other".  The label takes " x R^n" when
+    q = n, and is "other" when 0 < q < n.
+    """
+    if p == n * n:
         base = "gl(n)"
     elif p == n * n - 1 and not has_trace:
         base = "sl(n)"
-    elif p == n and not has_trace and max_sym_defect(False) <= tol:
-        base = "ad_su"
-    elif p == n + 1 and has_trace and max_sym_defect(True) <= tol:
-        base = "ad_su + span(I)"
+    elif spans_ad_su and p == n + has_trace:
+        base = "ad_su + span(I)" if has_trace else "ad_su"
     else:
-        base = "other"
-    return _with_translations(base, q, n)
-
-
-def _with_translations(base, q, n):
-    """base suffixed with " x R^n" when q = n; "other" for other q."""
-    if base == "other" or q == 0:
+        return "other"
+    if q == 0:
         return base
     if q != n:
         return "other"
-    if base in ("ad_su", "ad_su + span(I)"):
-        return "(%s) x R^n" % base
-    return base + " x R^n"
+    return ("(%s) x R^n" if base.startswith("ad_su") else "%s x R^n") % base
 
 
 def classify(c, tol=1e-9):
@@ -298,16 +300,15 @@ def classify(c, tol=1e-9):
         ad_su, ad_su + span(I), sl(n), gl(n),
 
     each optionally suffixed with " x R^n" when all translations are
-    present (q = n); anything else is "other".  The ad_su labels are
-    additionally guarded by a structural check that the linear parts are
-    skew-symmetric (plus a multiple of the identity in the span(I) case).
-    A tol outside (0, 1) raises ValueError.
+    present (q = n); anything else is "other".  The ad_su labels also
+    require the linear parts to span ad su(N), the adjoint generators of
+    the basis, to tol; see _label, which names the algebras of both
+    accessibility routes.  A tol outside (0, 1) raises ValueError.
     """
     _check_tol(tol)
     if not c.converged:
         raise ValueError("cannot classify an unconverged closure")
-    stack = c.rows.reshape(-1, c.n + 1, c.n + 1)
-    return _label(stack[:, 1:, 1:], _features(stack, tol), tol)
+    return _features_and_label(c.rows.reshape(-1, c.n + 1, c.n + 1), tol)[1]
 
 
 class AccessibilityReport(NamedTuple):
@@ -334,16 +335,18 @@ def accessibility(system, tol=1e-9, max_generations=8):
     homomorphism, and the linear image is ad su(N) plus a union of whole
     Casimir pieces of gl(n) (see _piece_closure), read off D.linear (only
     when |D.linear| > tol * |D|) and a few brackets, with no rate scale
-    left in it.  p is n plus the dimensions of those pieces, has_trace
-    says whether RI is among them, and the label follows from the set of
-    pieces; generations counts the rounds of the piece closure.  The
-    translation ideal is invariant under ad su(N), which acts irreducibly,
-    so it is 0 or all of R^n; it is 0 iff every element fixes a common
-    point, and ad su(N) fixes only 0, so q = 0 iff |D.translation| <=
-    tol * |D|, and closure_dim is p + q.
+    left in it.  D is scaled by a power of two first, which is exact, so
+    no norm overflows.  p is n plus the dimensions of those pieces, and
+    has_trace says whether RI is among them; generations counts the
+    rounds of the piece closure.  The translation ideal is invariant under
+    ad su(N), which acts irreducibly, so it is 0 or all of R^n; it is 0
+    iff every element fixes a common point, and ad su(N) fixes only 0, so
+    q = 0 iff |D.translation| <= tol * |D|, and closure_dim is p + q.
 
     route "affine": every other system gets the affine closure and its
-    features.  A tol outside (0, 1) raises ValueError.
+    features.  Both routes take the label from _label; the ad su route
+    knows that the algebra contains ad su(N), and closure tests it.  A tol
+    outside (0, 1) raises ValueError.
     """
     _check_tol(tol)
     if _ad_su_rows(system, tol, max_generations) is None:
@@ -356,17 +359,17 @@ def accessibility(system, tol=1e-9, max_generations=8):
     else:
         route = "ad_su"
         N, n = system.N, system.N * system.N - 1
-        D = system.dissipator
-        linear = (D.linear if np.linalg.norm(D.linear) > tol * D.norm()
-                  else None)
+        D = _pow2_scaled(system.dissipator.homogeneous)
+        norm = np.linalg.norm(D)
+        linear = D[1:, 1:] if np.linalg.norm(D[1:, 1:]) > tol * norm else None
         pieces, generations, converged = _piece_closure(
             N, linear, tol, max_generations)
-        dims = {name: dim for name, _, _, dim in _piece_table(N)}
-        p = n + sum(dims[name] for name in pieces)
-        q = 0 if np.linalg.norm(D.translation) <= tol * D.norm() else n
+        p = n + sum(dim for name, _, _, dim in _piece_table(N)
+                    if name in pieces)
+        q = 0 if np.linalg.norm(D[1:, 0]) <= tol * norm else n
         dim = p + q
         has_trace = "RI" in pieces
-        label = _piece_label(pieces, dims, q, n) if converged else None
+        label = _label(p, q, has_trace, n, True) if converged else None
     features = {"linear_dim": p, "translation_dim": q, "has_trace": has_trace}
     accessible = label in ACCESSIBLE_LABELS if converged else None
     return AccessibilityReport(accessible, dim, label, generations,
@@ -552,15 +555,6 @@ def _piece_closure(N, linear, tol, max_generations):
             pieces |= frontier
             generations += 1
     return pieces, generations, True
-
-
-def _piece_label(pieces, dims, q, n):
-    """Taxonomy label of ad su(N) plus the named pieces, q translations."""
-    nonempty = {name for name, dim in dims.items() if dim and name != "K"}
-    base = {frozenset(): "ad_su", frozenset({"RI"}): "ad_su + span(I)",
-            frozenset(nonempty - {"RI"}): "sl(n)",
-            frozenset(nonempty): "gl(n)"}.get(frozenset(pieces), "other")
-    return _with_translations(base, q, n)
 
 
 class Certificate(NamedTuple):

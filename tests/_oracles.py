@@ -235,8 +235,9 @@ def closure_label(members, n, tol):
 def taxonomy_label(linears, p, q, has_trace, n, tol):
     """Label of an algebra from its features and its n x n linear parts.
 
-    The ad_su labels also check, one matrix at a time, that the linear
-    parts are skew (plus a multiple of the identity for span(I)).
+    The ad_su labels also need the linear parts to contain ad su(N),
+    n = N^2 - 1: stacking them with the unit-normalized slices of the
+    structure tensor f must leave the rank at tol equal to p.
     """
     if q == 0:
         suffix = ""
@@ -245,22 +246,22 @@ def taxonomy_label(linears, p, q, has_trace, n, tol):
     else:
         return "other"
 
-    def max_sym_defect(remove_trace):
-        worst = 0.0
-        for linear in linears:
-            sym = 0.5 * (linear + linear.T)
-            if remove_trace:
-                sym = sym - (np.trace(sym) / n) * np.eye(n)
-            worst = max(worst, float(np.max(np.abs(sym))))
-        return worst
+    def contains_ad_su():
+        N = round(math.sqrt(n + 1))
+        if N * N != n + 1:
+            return False
+        f = structure_tensors(gellmann_basis(N))[0].reshape(n, n * n)
+        f = f / np.linalg.norm(f, axis=1)[:, None]
+        stacked = np.vstack([np.reshape(linears, (-1, n * n)), f])
+        return int(np.linalg.matrix_rank(stacked, tol=tol)) == p
 
     if p == n * n and has_trace:
         base = "gl(n)"
     elif p == n * n - 1 and not has_trace:
         base = "sl(n)"
-    elif p == n and not has_trace and max_sym_defect(False) <= tol:
+    elif p == n and not has_trace and contains_ad_su():
         base = "ad_su"
-    elif p == n + 1 and has_trace and max_sym_defect(True) <= tol:
+    elif p == n + 1 and has_trace and contains_ad_su():
         base = "ad_su + span(I)"
     else:
         return "other"

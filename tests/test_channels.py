@@ -124,6 +124,10 @@ def test_preset_validation():
         preset("thermal")
     with pytest.raises(ValueError):
         preset("depolarizing", gamma=-0.1)
+    for name in ("gamma", "h03"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="%s must be finite" % name):
+                preset("depolarizing", **{name: value})
     with pytest.raises(ValueError):
         ChannelPreset("depolarizing", {"rate": 1.0})
     with pytest.raises(TypeError):

@@ -632,6 +632,23 @@ def test_exit_code_4_on_ball_exit(tmp_path, capsys):
     assert "by nan" in capsys.readouterr().err
 
 
+def test_exit_code_4_on_dissipator_overflow(tmp_path, capsys):
+    """A finite GKS matrix whose dissipator overflows a double exits 4 with
+    a message on every command that builds the system, not with a
+    traceback and not with verify's exit 1."""
+    doc = tmp_path / "doc.json"
+    assert main(["preset", "amplitude_damping", "--gamma", "1e308",
+                 "--out", str(doc)]) == 0
+    out = tmp_path / "out"
+    for command, *flags in (["analyze"], ["simulate"],
+                            ["reachable", "--samples", "5"]):
+        assert main([command, str(doc), *flags, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "error: the assembled dissipator overflows a double: the GKS "
+            "entries are too large\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["doc.json"]
+
+
 @pytest.mark.parametrize("horizon, time", [("400", "360"), ("1000", "400")])
 def test_exit_code_4_on_det_g_overflow(tmp_path, capsys, horizon, time):
     """The zero state is a fixed point of the inadmissible document, so the

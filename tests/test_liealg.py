@@ -260,9 +260,11 @@ QUBIT_CELLS = (
 def test_qubit_rate_scale_sweep_gives_one_verdict_per_cell(name, entries,
                                                            expected):
     """GKS matrix scaled by 10**e for e = -12..12 with h0 = (0.3, 0, 0.1):
-    every label, not only gl(n), reads the same at every scale."""
+    every label, not only gl(n), reads the same at every scale.  So it does
+    for e = 150..300, where the squares of the entries overflow a double."""
     verdicts = {_verdict(accessibility(two_level_system(
-        10.0 ** e * entries, h0=(0.3, 0.0, 0.1)))) for e in range(-12, 13)}
+        10.0 ** e * entries, h0=(0.3, 0.0, 0.1))))
+        for e in [*range(-12, 13), 150, 160, 200, 300]}
     assert verdicts == {expected}
 
 
@@ -377,12 +379,20 @@ def test_skew_controls_closing_to_u2_plus_u2_take_the_affine_route():
     """u(2) + u(2) is a Lie algebra of dimension n = 8 at N = 3 whose
     orthonormal rows R also give sum R^T R = I, but it is not ad su(N), so
     the Casimir pieces do not apply.  Its closure with the dissipator has
-    dimension 9; read through the pieces it would be gl(n)."""
+    dimension 9; read through the pieces it would be gl(n).  The closure
+    of the controls alone, and with the identity added, is "other" too,
+    not ad su(N) or ad su(N) + RI."""
     system = _u2_plus_u2_system()
     assert affine_lie_dim(system.controls)[0] == 8
     assert liealg._ad_su_rows(system, 1e-9, 8) is None
     assert _verdict(accessibility(system)) == (False, 9, "other")
     assert affine_lie_dim([system.drift, *system.controls])[0] == 9
+    for gens, dim in [(system.controls, 8),
+                      ((*system.controls, AffineGenerator(np.eye(8))), 9)]:
+        c = closure(gens)
+        assert c.dim == dim
+        assert (c.classification == classify(c)
+                == closure_label(closure_members(c), 8, 1e-9) == "other")
 
 
 def _route_documents():
@@ -563,6 +573,9 @@ def test_one_and_two_piece_dissipators(N):
             base = "(%s)" % base
         assert acc.classification == base + suffix, combo
         assert acc.converged and acc.accessible == (base == "gl(n)")
+        if N == 3:
+            c = closure([system.drift, *system.controls])
+            assert c.classification == acc.classification, combo
 
 
 @pytest.mark.parametrize("N, seeds", [(4, 8), (5, 3)])
