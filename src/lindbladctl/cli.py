@@ -9,7 +9,8 @@ preset     emit the system document of a named two-level channel
 verify     run the built-in self-check suite
 
 Exit codes: 0 success, 1 verify failures, 2 parse/validation errors,
-3 inadmissible system (without --permissive), 4 numerical failure.
+3 inadmissible system (without --permissive), 4 numerical failure or
+out of memory.
 
 Reports are deterministic: no timestamps, fixed key order, floats printed
 with 17 significant digits.  The same input always yields byte-identical
@@ -80,16 +81,26 @@ def _fmt_number(x):
     return "%.17g" % x
 
 
-def _is_scalar(x):
-    return x is None or isinstance(x, (bool, int, float, str,
-                                       np.bool_, np.integer, np.floating))
-
+#: The types _json_scalar writes: None, str and the numbers of _fmt_number
+_SCALARS = (type(None), str, bool, int, float, np.bool_, np.integer,
+            np.floating)
 
 #: The JSON text of a str, as json.dumps writes it, without its wrapper
 _json_string = json.encoder.encode_basestring_ascii
 
 #: The exact types of the floats that _write_json writes a row at a time
 _ROW_FLOATS = frozenset({float, np.float64})
+
+
+def _json_scalar(x):
+    """The JSON text of a scalar: null, a string, or _fmt_number's text."""
+    if x is None:
+        return "null"
+    if isinstance(x, str):
+        return _json_string(x)
+    if isinstance(x, _SCALARS):
+        return _fmt_number(x)
+    raise TypeError("cannot serialize %r" % type(x))
 
 
 def _float_row(values):
@@ -108,54 +119,40 @@ def _write_json(obj, indent, out):
     """Append the JSON text of obj, nested indent levels deep, to out.
 
     An array is written as its nested lists.  A list of floats (so each
-    row of a float array) is written a row at a time by _float_row; every
-    other value goes through the general cases below, with _fmt_number
-    for numbers.  The text is the same either way.
+    row of a float array) is written a row at a time by _float_row, and
+    every other scalar by _json_scalar, a list of scalars on one line.
+    The text is the same either way.
     """
     if isinstance(obj, np.ndarray) and obj.ndim:
-        obj = np.asarray(obj).tolist()
+        obj = obj.tolist()
     if type(obj) is list and all(type(x) in _ROW_FLOATS for x in obj):
         out.append(_float_row(obj))
         return
     pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, str):
-        out.append(_json_string(obj))
-    elif isinstance(obj, (bool, int, float, np.bool_, np.integer, np.floating)):
-        out.append(_fmt_number(obj))
-    elif isinstance(obj, dict):
+    if isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
-        out.append("{\n")
-        items = list(obj.items())
-        for i, (key, value) in enumerate(items):
-            out.append(pad + "  " + _json_string(str(key)) + ": ")
+        sep = "{\n"
+        for key, value in obj.items():
+            out.append(sep + pad + "  " + _json_string(str(key)) + ": ")
             _write_json(value, indent + 1, out)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "}")
+            sep = ",\n"
+        out.append("\n" + pad + "}")
     elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             out.append("[]")
-            return
-        if all(_is_scalar(x) for x in seq):
-            parts = []
-            for x in seq:
-                sub = []
-                _write_json(x, 0, sub)
-                parts.append("".join(sub))
-            out.append("[" + ", ".join(parts) + "]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(seq):
-            out.append(pad + "  ")
-            _write_json(value, indent + 1, out)
-            out.append(",\n" if i + 1 < len(seq) else "\n")
-        out.append(pad + "]")
+        elif all(isinstance(x, _SCALARS) for x in obj):
+            out.append("[" + ", ".join(map(_json_scalar, obj)) + "]")
+        else:
+            sep = "[\n"
+            for value in obj:
+                out.append(sep + pad + "  ")
+                _write_json(value, indent + 1, out)
+                sep = ",\n"
+            out.append("\n" + pad + "]")
     else:
-        raise TypeError("cannot serialize %r" % type(obj))
+        out.append(_json_scalar(obj))
 
 
 def dumps_report(obj):
@@ -419,7 +416,6 @@ class SystemDocument:
     a_real: np.ndarray
     a_imag: np.ndarray
     preset: object = None
-    schema_version: int = SCHEMA_VERSION
     gks: GksMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -532,7 +528,7 @@ class SystemDocument:
 
     def to_dict(self):
         doc = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "N": self.N,
             "h0": self.h0.tolist(),
             "controls": self.controls.tolist(),
@@ -867,20 +863,19 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="accessibility, classification and "
                        "noncontrollability certificates")
-    p.add_argument("document", help="system document (JSON)")
+    p.add_argument("path", metavar="document",
+                   help="system document (JSON)")
     p.add_argument("--out", help="write the report here (default: stdout)")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="Lie-closure residual tolerance, finite and in "
                         "(0, 1) (default 1e-9)")
     p.add_argument("--permissive", action="store_true",
                    help="exit 0 even when the GKS matrix is not PSD")
-    p.set_defaults(func=lambda a: cmd_analyze(a.document, out=a.out,
-                                              tol=a.tol,
-                                              permissive=a.permissive))
+    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="integrate a controlled trajectory, "
                        "write CSV")
-    p.add_argument("document")
+    p.add_argument("path", metavar="document")
     p.add_argument("--control",
                    help="JSON segments [{\"duration\": ..., \"u\": [...]}] "
                         "or @file (default: zero control)")
@@ -893,13 +888,11 @@ def build_parser():
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.add_argument("--permissive", action="store_true",
                    help="simulate even when the GKS matrix is not PSD")
-    p.set_defaults(func=lambda a: cmd_simulate(
-        a.document, control=a.control, rho0=a.rho0, horizon=a.horizon,
-        samples=a.samples, out=a.out, permissive=a.permissive))
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reachable", help="Monte-Carlo reachable-set "
                        "sampling, write CSV + stats JSON")
-    p.add_argument("document")
+    p.add_argument("path", metavar="document")
     p.add_argument("--rho0", help="comma-separated initial coherence vector "
                    "(default: maximally mixed)")
     p.add_argument("--horizon", type=float, default=1.0)
@@ -911,10 +904,7 @@ def build_parser():
     p.add_argument("--out", help="output base: writes OUT.csv and "
                    "OUT.stats.json (default: stats to stdout)")
     p.add_argument("--permissive", action="store_true")
-    p.set_defaults(func=lambda a: cmd_reachable(
-        a.document, rho0=a.rho0, horizon=a.horizon, samples=a.samples,
-        seed=a.seed, control_bound=a.control_bound, out=a.out,
-        permissive=a.permissive))
+    p.set_defaults(func=cmd_reachable)
 
     p = sub.add_parser("preset", help="emit the system document of a named "
                        "two-level channel")
@@ -924,12 +914,11 @@ def build_parser():
     p.add_argument("--h03", type=float, default=0.0,
                    help="drift rotation rate about z (default 0)")
     p.add_argument("--out", help="write the document here (default: stdout)")
-    p.set_defaults(func=lambda a: cmd_preset(a.name, gamma=a.gamma,
-                                             h03=a.h03, out=a.out))
+    p.set_defaults(func=cmd_preset)
 
     p = sub.add_parser("verify", help="run the built-in self-check suite")
     p.add_argument("--out", help="also write a JSON report here")
-    p.set_defaults(func=lambda a: cmd_verify(out=a.out))
+    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -942,9 +931,11 @@ def main(argv=None):
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    options = vars(_PARSER.parse_args(argv))
+    func = options.pop("func")
+    del options["command"]
     try:
-        return args.func(args)
+        return func(**options)
     except CliParseError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -953,6 +944,10 @@ def main(argv=None):
         return 3
     except (BallExitError, FloatingPointError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print("error: out of memory" + (": %s" % exc if str(exc) else ""),
+              file=sys.stderr)
         return 4
 
 

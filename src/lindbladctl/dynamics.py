@@ -85,8 +85,7 @@ def expm(a):
     a = np.asarray(a, dtype=float)
     shape = a.shape
     a = a.reshape((-1,) + shape[-2:])
-    # column sums laid out (n, S), so the max runs along whole rows
-    norm = np.einsum("sij->js", np.abs(a), order="C").max(axis=0)
+    norm = _one_norms(a)
     bad = ~(norm < _EXPM_NORM_LIMIT)
     any_bad = bad.any()
     if any_bad:
@@ -121,6 +120,12 @@ def expm(a):
     return r.reshape(shape)
 
 
+def _one_norms(a):
+    """The 1-norms (largest column sums of |a|) of a stack (S, n, n)."""
+    # column sums laid out (n, S), so the max runs along whole rows
+    return np.einsum("sij->js", np.abs(a), order="C").max(axis=0)
+
+
 class BallExitError(RuntimeError):
     """Raised when a trajectory leaves the coherence ball beyond tolerance."""
 
@@ -130,7 +135,8 @@ class PiecewiseControl:
     """Piecewise-constant control: a sequence of (duration, amplitudes).
 
     Each segment holds the control amplitudes fixed for the given positive
-    duration; all segments must have the same number of amplitudes.
+    duration; all segments must have the same number of amplitudes, and
+    the durations must have a finite sum.
     """
 
     segments: tuple
@@ -157,6 +163,9 @@ class PiecewiseControl:
         if not segs:
             raise ValueError("a control needs at least one segment")
         object.__setattr__(self, "segments", tuple(segs))
+        if not np.isfinite(self.total_duration):
+            raise ValueError("segment durations must have a finite sum, "
+                             "got %r" % self.total_duration)
 
     @classmethod
     def constant(cls, u, duration):
@@ -200,16 +209,30 @@ def _generator_stack(system, amps):
     return gen
 
 
-def _check_ball(sq, N, where):
+def _check_ball(sq, N, where, step, shorten):
     """Raise BallExitError for the first squared norm in sq beyond the ball
-    (a nan, from an overflowed state, too); where(i) names state i."""
+    (a nan, from an overflowed state, too).
+
+    where(i) names state i and step(i) is the step generator (generator
+    times duration) that led to it.  When that step's 1-norm is 2**53 or
+    more, expm gave nan for it, and the message names that cause and says
+    how to shorten the steps (shorten); otherwise it blames the system.
+    """
     excess = sq - (1.0 - 1.0 / N)
     if not excess.max() <= BALL_EXIT_TOL:
         i = int(np.argmax(~(excess <= BALL_EXIT_TOL)))
+        norm = _one_norms(step(i)[None])[0]
+        if norm < _EXPM_NORM_LIMIT:
+            cause = ("the system is likely inadmissible or the dynamics "
+                     "numerically unstable")
+        else:
+            cause = ("the step into it (generator times duration) has a "
+                     "1-norm of %.3e, 2**53 or more, which is out of range "
+                     "of the exponential; shorten the steps: %s"
+                     % (norm, shorten))
         raise BallExitError(
             "state left the coherence ball (%s): ||rho||^2 exceeds 1 - 1/N "
-            "by %.3e; the system is likely inadmissible or the dynamics "
-            "numerically unstable" % (where(i), excess[i]))
+            "by %.3e; %s" % (where(i), excess[i], cause))
 
 
 def propagate(system, control, rho_init, samples_per_segment=20):
@@ -233,7 +256,8 @@ def propagate(system, control, rho_init, samples_per_segment=20):
     s = samples_per_segment
     tau = np.array([d for d, _ in control.segments]) / s
     amps = np.array([u for _, u in control.segments]).reshape(len(tau), q)
-    steps = expm(_generator_stack(system, amps) * tau[:, None, None])
+    gen = _generator_stack(system, amps) * tau[:, None, None]
+    steps = expm(gen)
 
     bar = np.tile(rho_init.bar, (len(tau) * s + 1, 1))
     # a state that left the ball may overflow later; the check names the exit
@@ -243,7 +267,9 @@ def propagate(system, control, rho_init, samples_per_segment=20):
     times = np.concatenate(([0.0], np.cumsum(np.repeat(tau, s))))
     states = bar[:, 1:]
     sq = np.einsum("ij,ij->i", states, states)
-    _check_ball(sq[1:], system.N, lambda i: "t=%.6g" % times[i + 1])
+    _check_ball(sq[1:], system.N, lambda i: "t=%.6g" % times[i + 1],
+                lambda i: gen[i // s], "raise samples_per_segment "
+                "(--samples of simulate)")
     # an expanding (inadmissible) flow can overflow det to inf
     with np.errstate(over="ignore"):
         dets = np.cumprod(np.concatenate(
@@ -406,12 +432,14 @@ def _sample_block(system, bar0, horizon, grid, seed, samples, control_bound,
         # by expm(0) = I exactly and leave the state as it is.
         act = np.flatnonzero(dt[:, k] > 0.0)
         gen = _generator_stack(system, seg_amps[act, k])
-        x[act] = np.matmul(expm(gen * dt[act, k][:, None, None]),
-                           x[act][..., None])[..., 0]
+        gen *= dt[act, k][:, None, None]
+        x[act] = np.matmul(expm(gen), x[act][..., None])[..., 0]
         rho = x[act, 1:]
         sq = np.einsum("ij,ij->i", rho, rho)
         _check_ball(sq, system.N, lambda i: "sample %d, t=%.6g"
-                    % (samples[act[i]], events[act[i], k]))
+                    % (samples[act[i]], events[act[i], k]),
+                    gen.__getitem__, "lower horizon or control_bound "
+                    "(--horizon, --control-bound of reachable)")
         new = np.sqrt(sq)
         max_increase = max(max_increase, float(np.max(new - nrm[act])))
         nrm[act] = new

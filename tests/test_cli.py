@@ -57,6 +57,9 @@ def test_dumps_report_rejects_nonfinite():
         dumps_report({"x": float("inf")})
     with pytest.raises(TypeError):
         dumps_report({"x": object()})
+    # a row of floats stops at its first non-finite value
+    with pytest.raises(ValueError, match="non-finite number inf"):
+        dumps_report({"x": [1.0, float("inf"), float("nan")]})
 
 
 def test_dumps_report_deterministic():
@@ -560,6 +563,36 @@ def test_analyze_unconverged_closure_reports_unknown(tmp_path, monkeypatch):
     assert any("did not converge" in w for w in report["warnings"])
 
 
+def test_analyze_without_controls(tmp_path, capsys):
+    # no controls: the affine route decides, and there is no Hamiltonian
+    # controllability to report
+    data = _valid_doc_dict()
+    data["controls"] = []
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(data))
+    system = SystemDocument.load(path).to_control_system()
+    assert accessibility(system).route == "affine"
+    assert main(["analyze", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert '"hamiltonian_controllability": null,' in text
+    report = json.loads(text)
+    assert report["system"]["num_controls"] == 0
+    assert report["accessibility"]["accessible"] is False
+
+
+@pytest.mark.parametrize("command, args, suffix", [
+    ("analyze", [], ""),
+    ("reachable", ["--samples", "20"], ".stats.json"),
+])
+def test_report_goes_to_stdout_without_out(tmp_path, capsys, command, args,
+                                           suffix):
+    doc = _write_preset_doc(tmp_path, "amplitude_damping", gamma=0.8)
+    assert main([command, str(doc), *args, "--out",
+                 str(tmp_path / "r")]) == 0
+    assert main([command, str(doc), *args]) == 0
+    assert capsys.readouterr().out == (tmp_path / ("r" + suffix)).read_text()
+
+
 def test_analyze_byte_identical_reruns(tmp_path):
     doc = _write_preset_doc(tmp_path, "amplitude_damping", gamma=0.8)
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -601,6 +634,18 @@ def test_exit_code_2_on_parse_errors(tmp_path, capsys):
         broken.write_text(json.dumps(data))
         assert main(["analyze", str(broken)]) == 2
         assert "error: field '%s'" % field in capsys.readouterr().err
+    broken.write_text("[]")
+    assert main(["analyze", str(broken)]) == 2
+    assert capsys.readouterr().err == (
+        "error: document root must be a JSON object\n")
+    assert main(["preset", "depolarizing", "--gamma", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: gamma must be nonnegative\n")
+    doc = _write_preset_doc(tmp_path, "bit_flip", gamma=0.5)
+    missing = tmp_path / "missing.json"
+    assert main(["simulate", str(doc), "--control", "@%s" % missing]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot read control file: [Errno 2] No such file or "
+        "directory: '%s'\n" % missing)
 
 
 def test_exit_code_3_on_inadmissible(tmp_path, capsys):
@@ -622,14 +667,19 @@ def test_exit_code_4_on_ball_exit(tmp_path, capsys):
     code = main(["simulate", str(doc), "--permissive", "--horizon", "40",
                  "--rho0", "0.3,0,0.4", "--out", str(tmp_path / "t.csv")])
     assert code == 4
-    assert "error:" in capsys.readouterr().err
+    assert "the system is likely inadmissible" in capsys.readouterr().err
     # an overflowing flow, not a bad flag value
     doc = _write_preset_doc(tmp_path, "bit_flip", gamma=0.5)
     with np.errstate(all="ignore"):
         code = main(["reachable", str(doc), "--control-bound", "1e200",
                      "--samples", "5", "--out", str(tmp_path / "c")])
     assert code == 4
-    assert "by nan" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "by nan" in err
+    assert err.endswith(
+        "2**53 or more, which is out of range of the exponential; shorten "
+        "the steps: lower horizon or control_bound (--horizon, "
+        "--control-bound of reachable)\n")
 
 
 def test_exit_code_4_on_dissipator_overflow(tmp_path, capsys):
@@ -672,12 +722,68 @@ def test_exit_code_4_on_det_g_overflow(tmp_path, capsys, horizon, time):
      "segment 1: field 'u': expected a number, got True"),
     ('[[false, [0, 0, 1]]]',
      "segment 0: field 'duration': expected a number, got False"),
+    # shapes that are not a list of segments
+    ("{bad", "invalid JSON at line 1 column 2: Expecting property name "
+             "enclosed in double quotes"),
+    ("{}", "expected a non-empty JSON array of segments"),
+    ('[{"duration": 1}]',
+     "segment 0 must have exactly the keys 'duration' and 'u'"),
+    ('[[1, [0, 0, 0]], {"duration": 1, "u": [0, 0, 0], "x": 1}]',
+     "segment 1 must have exactly the keys 'duration' and 'u'"),
+    ("[[1]]",
+     'segment 0 must be {"duration": ..., "u": [...]} or [duration, [...]]'),
+    ("[[1, [0, 0]]]",
+     "segments have 2 amplitudes but the document defines 3 controls"),
+    # each duration is finite, their sum is not
+    ("[[1e308, [1, 2, 3]], [1e308, [0, 0, 0]]]",
+     "segment durations must have a finite sum, got inf"),
 ])
 def test_control_refuses_strings_and_booleans(tmp_path, capsys, control,
                                               message):
     doc = _write_preset_doc(tmp_path, "bit_flip", gamma=0.5)
     assert main(["simulate", str(doc), "--control", control]) == 2
     assert capsys.readouterr().err == "error: --control: %s\n" % message
+
+
+def test_step_out_of_range_is_named(tmp_path, capsys):
+    """A step whose 1-norm reaches 2**53 has no exponential (expm gives
+    nan): the message names that step and how to shorten it, and shorter
+    steps reach the fixed point of the strongly damped system."""
+    doc = _write_preset_doc(tmp_path, "amplitude_damping", gamma=1e17)
+    out = tmp_path / "t.csv"
+    args = ["simulate", str(doc), "--horizon", "1", "--out", str(out)]
+    assert main(args + ["--samples", "2"]) == 4
+    assert capsys.readouterr().err == (
+        "error: state left the coherence ball (t=0.5): ||rho||^2 exceeds "
+        "1 - 1/N by nan; the step into it (generator times duration) has "
+        "a 1-norm of 5.000e+16, 2**53 or more, which is out of range of "
+        "the exponential; shorten the steps: raise samples_per_segment "
+        "(--samples of simulate)\n")
+    assert not out.exists()
+    assert main(args + ["--samples", "20"]) == 0
+    assert out.read_text().split("\n")[-2].split(",")[1:] == [
+        "0", "0", "0.70710678118654746", "0.99999999999999989", "0"]
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 2.91 TiB for an array with shape "
+                 "(100000000001, 4) and data type float64"),
+     "error: out of memory: Unable to allocate 2.91 TiB for an array with "
+     "shape (100000000001, 4) and data type float64\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch, error,
+                               message):
+    """Running out of memory exits 4 with one line, not with verify's 1.
+    The allocation is simulated: with memory overcommit a real one may
+    succeed, and the process is then killed when it touches the memory."""
+    def propagate(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("lindbladctl.cli.propagate", propagate)
+    doc = _write_preset_doc(tmp_path, "bit_flip", gamma=0.5)
+    assert main(["simulate", str(doc), "--samples", "100000000000"]) == 4
+    assert capsys.readouterr() == ("", message)
 
 
 def test_simulate_csv_output(tmp_path):

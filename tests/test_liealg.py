@@ -100,6 +100,21 @@ def test_classify_translation_only_subspaces():
     assert c.classification == "(ad_su) x R^n"
 
 
+def test_some_but_not_all_translations_read_other():
+    # a rotation about x and a translation along x, which it leaves fixed:
+    # the two commute, so p = 1 and q = 1 < n
+    c = closure([m_matrix(1), m_matrix(9)])
+    assert c.dim == 2
+    assert c.features == (1, 1, False)
+    assert c.classification == classify(c) == "other"
+    # With a linear image of gl(n), sl(n) or ad su(N), which act
+    # irreducibly on R^n, the translations of a closure are 0 or all of
+    # R^n; only features decided at a tolerance can give 0 < q < n there.
+    assert [liealg._label(p, 1, has_trace, 3, True)
+            for p, has_trace in ((9, True), (8, False), (3, False))] \
+        == ["other"] * 3
+
+
 def test_classify_isotropic_damping():
     c = closure([m_matrix(1), m_matrix(2), m_matrix(3),
                  m_matrix(10) + m_matrix(11) + m_matrix(12)])
