@@ -80,8 +80,13 @@ class AffineGenerator:
         return self.homogeneous @ np.asarray(rho_bar, dtype=float)
 
     def norm(self):
-        """Frobenius norm of the homogeneous form (see _stable_norm)."""
-        return _stable_norm(self.homogeneous)
+        """Frobenius norm of the homogeneous form, taken on its
+        _pow2_scaled entries and scaled back; inf only when the norm itself
+        exceeds the largest double."""
+        exponent = np.frexp(np.max(np.abs(self.homogeneous)))[1]
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(np.linalg.norm(
+                np.ldexp(self.homogeneous, -exponent)), exponent))
 
     def is_zero(self, tol=1e-12):
         return np.max(np.abs(self.homogeneous)) <= tol
@@ -133,14 +138,17 @@ def _pow2_scaled(x, axis=None):
     return np.ldexp(x, -np.frexp(big)[1])
 
 
-def _stable_norm(x):
-    """Frobenius norm of x, taken on _pow2_scaled(x) and scaled back; inf
-    only when the norm itself exceeds the largest double."""
-    x = np.asarray(x, dtype=float)
-    exponent = np.frexp(np.max(np.abs(x), initial=0.0))[1]
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(np.linalg.norm(np.ldexp(x, -exponent)),
-                              exponent))
+def _negligible(part, whole, tol):
+    """True when |part| <= tol * |whole| in the Frobenius norm.
+
+    Both sides are scaled first by the power of two that _pow2_scaled
+    gives whole, which is exact, so the test neither overflows nor
+    underflows and reads the same at every scale of the rates.  Against a
+    zero whole only a zero part is negligible.
+    """
+    exponent = np.frexp(np.max(np.abs(whole), initial=0.0))[1]
+    return bool(np.linalg.norm(np.ldexp(part, -exponent))
+                <= tol * np.linalg.norm(np.ldexp(whole, -exponent)))
 
 
 def bracket(x, y):

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .affine import AffineGenerator, _stable_norm
+from .affine import AffineGenerator, _negligible
 
 __all__ = ["GksMatrix", "AffineGenerator", "assemble_dissipator",
            "check_psd", "PsdReport", "check_minors_2level", "MinorsReport",
@@ -34,8 +34,8 @@ __all__ = ["GksMatrix", "AffineGenerator", "assemble_dissipator",
 
 
 def _scaled_tol(entries):
-    """Rounding allowance 1e-12 * max(1, max|A|) for symmetry checks."""
-    return 1e-12 * max(1.0, float(np.max(np.abs(entries), initial=0.0)))
+    """Rounding allowance 1e-12 * max|A| for symmetry checks."""
+    return 1e-12 * float(np.max(np.abs(entries), initial=0.0))
 
 
 class GksMatrix:
@@ -43,7 +43,7 @@ class GksMatrix:
 
     Parameters
     ----------
-    entries : (n, n) array_like, Hermitian to 1e-12 * max(1, max|A|).
+    entries : (n, n) array_like, Hermitian to 1e-12 * max|A|.
     """
 
     __slots__ = ("entries",)
@@ -54,7 +54,7 @@ class GksMatrix:
             raise ValueError("GKS matrix must be square")
         if np.max(np.abs(entries - entries.conj().T)) > _scaled_tol(entries):
             raise ValueError("GKS matrix must be Hermitian to "
-                             "1e-12 * max(1, max|A|)")
+                             "1e-12 * max|A|")
         entries = entries.copy()
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
@@ -75,10 +75,10 @@ class GksMatrix:
         tol = _scaled_tol(entries)
         if np.max(np.abs(a_real - a_real.T)) > tol:
             raise ValueError("real part must be symmetric to "
-                             "1e-12 * max(1, max|A|)")
+                             "1e-12 * max|A|")
         if np.max(np.abs(a_imag + a_imag.T)) > tol:
             raise ValueError("imaginary part must be antisymmetric to "
-                             "1e-12 * max(1, max|A|)")
+                             "1e-12 * max|A|")
         return cls(entries)
 
     def __repr__(self):
@@ -91,7 +91,7 @@ def assemble_dissipator(A, basis):
     A may be a GksMatrix or a plain Hermitian array.  The linear part is
     G_lr = tr(lambda_l D(lambda_r)), with D written as an N^2 x N^2
     Liouville supermatrix acting on row-major vec(X).  A residual imaginary
-    part above 1e-12 * max(1, max|A|) indicates a non-Hermitian input and
+    part above 1e-12 * max|A| indicates a non-Hermitian input and
     raises ValueError.  Entries so large that the generator overflows a
     double raise FloatingPointError, without RuntimeWarnings.
     """
@@ -136,13 +136,17 @@ class PsdReport(NamedTuple):
 def check_psd(A, tol=1e-10):
     """Positive-semidefiniteness report for a Hermitian matrix.
 
-    on_boundary flags a zero eigenvalue (within tol), i.e. A lies on an
-    exposed face of the PSD cone.
+    tol is relative: the smallest eigenvalue is compared with tol times
+    the largest |eigenvalue| (see affine._negligible), so the verdict does
+    not change with the scale of A.  on_boundary flags a smallest
+    eigenvalue that small, i.e. A lies on an exposed face of the PSD cone;
+    is_psd holds then or when it is positive.  A zero A is on the boundary.
     """
     entries = A.entries if isinstance(A, GksMatrix) else np.asarray(A, dtype=complex)
-    min_eig = float(np.linalg.eigvalsh(entries)[0])
-    is_psd = min_eig >= -tol
-    return PsdReport(is_psd, min_eig, is_psd and min_eig <= tol)
+    eigs = np.linalg.eigvalsh(entries)
+    min_eig = float(eigs[0])
+    on_boundary = _negligible(min_eig, np.max(np.abs(eigs)), tol)
+    return PsdReport(on_boundary or min_eig > 0.0, min_eig, on_boundary)
 
 
 class MinorsReport(NamedTuple):
@@ -162,9 +166,12 @@ def check_minors_2level(params, tol=1e-12):
              [a6 - i a7, a8 - i a9,  a12     ]].
 
     Evaluates the three 1x1, three 2x2 and one 3x3 principal minors; A is
-    positive semidefinite iff all seven are nonnegative.
+    positive semidefinite iff all seven are nonnegative.  tol is relative,
+    as in check_psd: a minor of degree k passes when it is at least
+    -tol * max|a|**k, so the verdict does not change with the scale of A.
     """
     a4, a5, a6, a7, a8, a9, a10, a11, a12 = (float(x) for x in params)
+    scale = max(abs(a) for a in (a4, a5, a6, a7, a8, a9, a10, a11, a12))
     values = {
         "minor1_xx": a10,
         "minor1_yy": a11,
@@ -179,7 +186,9 @@ def check_minors_2level(params, tol=1e-12):
                    + 2.0 * a4 * (a6 * a8 + a7 * a9)
                    - 2.0 * a5 * (a6 * a9 - a7 * a8)),
     }
-    passed = {name: value >= -tol for name, value in values.items()}
+    # the degree of a minor is the digit in its name
+    passed = {name: value >= -tol * scale ** int(name[5])
+              for name, value in values.items()}
     return MinorsReport(values, passed, all(passed.values()))
 
 
@@ -197,9 +206,10 @@ def two_level_gks(params):
 def is_unital(L, tol=1e-12):
     """True when the generator has no translation part (fixes the identity).
 
-    The translation's norm is taken as affine._stable_norm does, so large
-    entries cannot overflow it."""
-    return _stable_norm(L.translation) <= tol
+    tol is relative: the translation is compared with the whole homogeneous
+    generator by affine._negligible, which no scale of the rates changes
+    and no entry overflows.  A zero generator is unital."""
+    return _negligible(L.translation, L.homogeneous, tol)
 
 
 def split_trace(L):

@@ -414,13 +414,13 @@ def _sample_block(system, bar0, horizon, grid, seed, samples, control_bound,
     if not np.all(np.take_along_axis(events, grid_col, axis=1) == grid[1:]):
         raise RuntimeError("internal error: grid point not reached")
 
-    # Each event's step and the amplitudes of the segment that holds the
-    # midpoint of the step (no midpoint exceeds the last bound, the horizon).
+    # Each event's step and the amplitudes of the segment that holds it:
+    # no bound lies inside a step, so that segment is the one after every
+    # bound at or before the step's start.
     t_prev = np.concatenate([np.zeros((num_samples, 1)), events[:, :-1]],
                             axis=1)
     dt = events - t_prev
-    seg = np.sum(bounds[:, None, :] < 0.5 * (t_prev + events)[:, :, None],
-                 axis=2)
+    seg = np.sum(bounds[:, None, :] <= t_prev[:, :, None], axis=2)
     seg_amps = np.take_along_axis(amps, seg[:, :, None], axis=1)
 
     points[:, 0] = bar0[1:]
@@ -432,7 +432,9 @@ def _sample_block(system, bar0, horizon, grid, seed, samples, control_bound,
         # by expm(0) = I exactly and leave the state as it is.
         act = np.flatnonzero(dt[:, k] > 0.0)
         gen = _generator_stack(system, seg_amps[act, k])
-        gen *= dt[act, k][:, None, None]
+        # an overflowed step is out of range of expm; _check_ball names it
+        with np.errstate(over="ignore"):
+            gen *= dt[act, k][:, None, None]
         x[act] = np.matmul(expm(gen), x[act][..., None])[..., 0]
         rho = x[act, 1:]
         sq = np.einsum("ij,ij->i", rho, rho)
@@ -470,6 +472,11 @@ def _draw_controls(seed, samples, horizon, control_bound, q):
     used = np.arange(_MAX_SEGMENTS) < counts[:, None]
     amps[~used] = 0.0
     cum = np.cumsum(np.where(used, expo, 0.0), axis=1)
-    bounds = np.where(used, horizon * cum / cum[:, -1:], np.inf)
+    with np.errstate(over="ignore"):
+        bounds = horizon * cum / cum[:, -1:]
+    # horizon * cum overflows only near the largest double; dividing first
+    # keeps those bounds finite and changes no other bit
+    bounds = np.where(np.isinf(bounds), horizon * (cum / cum[:, -1:]), bounds)
+    bounds[~used] = np.inf
     bounds[np.arange(len(counts)), counts - 1] = horizon
     return bounds, amps

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .affine import AffineGenerator, _pow2_scaled, bracket
+from .affine import AffineGenerator, _negligible, _pow2_scaled, bracket
 from .dissipator import (PsdReport, _scaled_tol, check_psd, fixed_point,
                          is_unital)
 from .states import purity
@@ -84,11 +84,11 @@ class ControlSystem:
             tol = _scaled_tol(gen.linear)
             if np.max(np.abs(gen.linear + gen.linear.T)) > tol:
                 raise ValueError("%s generator must have a skew-symmetric "
-                                 "linear part (to 1e-12 * max(1, "
-                                 "max|linear|))" % name)
+                                 "linear part (to 1e-12 * max|linear|)"
+                                 % name)
             if np.max(np.abs(gen.translation)) > tol:
                 raise ValueError("%s generator must have no translation "
-                                 "(to 1e-12 * max(1, max|linear|))" % name)
+                                 "(to 1e-12 * max|linear|)" % name)
         if self.dissipator.n != n:
             raise ValueError("dissipator has dimension %d, expected %d"
                              % (self.dissipator.n, n))
@@ -334,14 +334,15 @@ def accessibility(system, tol=1e-9, max_generations=8):
     for the dissipator D.  Projection onto linear parts is a Lie
     homomorphism, and the linear image is ad su(N) plus a union of whole
     Casimir pieces of gl(n) (see _piece_closure), read off D.linear (only
-    when |D.linear| > tol * |D|) and a few brackets, with no rate scale
-    left in it.  D is scaled by a power of two first, which is exact, so
-    no norm overflows.  p is n plus the dimensions of those pieces, and
-    has_trace says whether RI is among them; generations counts the
-    rounds of the piece closure.  The translation ideal is invariant under
-    ad su(N), which acts irreducibly, so it is 0 or all of R^n; it is 0
-    iff every element fixes a common point, and ad su(N) fixes only 0, so
-    q = 0 iff |D.translation| <= tol * |D|, and closure_dim is p + q.
+    when it is not negligible against D, see affine._negligible) and a few
+    brackets, with no rate scale left in it.  D.linear is scaled by a
+    power of two first, which is exact, so no norm overflows.  p is n plus
+    the dimensions of those pieces, and has_trace says whether RI is among
+    them; generations counts the rounds of the piece closure.  The
+    translation ideal is invariant under ad su(N), which acts irreducibly,
+    so it is 0 or all of R^n; it is 0 iff every element fixes a common
+    point, and ad su(N) fixes only 0, so q = 0 iff is_unital(D, tol), and
+    closure_dim is p + q.
 
     route "affine": every other system gets the affine closure and its
     features.  Both routes take the label from _label; the ad su route
@@ -359,14 +360,14 @@ def accessibility(system, tol=1e-9, max_generations=8):
     else:
         route = "ad_su"
         N, n = system.N, system.N * system.N - 1
-        D = _pow2_scaled(system.dissipator.homogeneous)
-        norm = np.linalg.norm(D)
-        linear = D[1:, 1:] if np.linalg.norm(D[1:, 1:]) > tol * norm else None
+        D = system.dissipator
+        linear = (None if _negligible(D.linear, D.homogeneous, tol)
+                  else _pow2_scaled(D.linear))
         pieces, generations, converged = _piece_closure(
             N, linear, tol, max_generations)
         p = n + sum(dim for name, _, _, dim in _piece_table(N)
                     if name in pieces)
-        q = 0 if np.linalg.norm(D[1:, 0]) <= tol * norm else n
+        q = 0 if is_unital(D, tol) else n
         dim = p + q
         has_trace = "RI" in pieces
         label = _label(p, q, has_trace, n, True) if converged else None
@@ -516,7 +517,8 @@ def _piece_closure(N, linear, tol, max_generations):
     a union of whole pieces from _piece_table: every piece but K is
     irreducible and occurs once outside K.  pieces is that union, as a
     set of names.  It starts from the pieces where the projection of
-    linear (an n x n matrix, or None for none) exceeds tol * |linear|.
+    linear (an n x n matrix, or None for none) is not negligible against
+    linear (see affine._negligible).
     Each round brackets generic elements of every pair of pieces, new
     ones among them, from _generic_pieces (two independent elements
     for a piece paired with itself), and adds each piece the bracket's
@@ -532,7 +534,7 @@ def _piece_closure(N, linear, tol, max_generations):
     if linear is not None:
         parts = project(linear[None])
         pieces = {name for name, x in parts.items() if name != "K"
-                  and np.linalg.norm(x) > tol * np.linalg.norm(linear)}
+                  and not _negligible(x, linear, tol)}
     reachable = {name for name, _, _, dim in _piece_table(N)
                  if dim and name not in ("K", "RI")}
     frontier = pieces & reachable
@@ -582,16 +584,21 @@ def noncontrollability_certificates(system, tol=1e-12):
     finite_time : the dissipator is nonzero, so the system is not
                   controllable in any fixed finite time.
 
+    Every test is scale-free: the dissipator vanishes only when it is
+    exactly zero, trace needs a tr that is not negligible against the
+    linear part (see affine._negligible) and unital is is_unital at tol,
+    so no scale of the rates changes which certificates are active.
+
     When the dissipator is nonzero but not unital and the drift has a fixed
     point of unit purity, the report notes that the closure of the reachable
     set is the full ball asymptotically (exact controllability still fails).
     """
     L = system.dissipator
-    nonzero = L.norm() > tol
+    nonzero = bool(np.any(L.homogeneous))
     tr = float(np.trace(L.linear))
     unital = is_unital(L, tol)
 
-    trace_active = nonzero and tr < -tol
+    trace_active = tr < 0.0 and not _negligible(tr, L.linear, tol)
     unital_active = nonzero and unital
     finite_active = nonzero
 

@@ -113,8 +113,10 @@ def random_hermitian(rng, n, scale=1.0):
     return scale * 0.5 * (b + b.conj().T)
 
 
-def random_psd(rng, n, scale=1.0):
-    b = rng.normal(size=(n, n)) + 1.0j * rng.normal(size=(n, n))
+def random_psd(rng, n, scale=1.0, rank=None):
+    """A random n x n PSD matrix, of full rank unless rank is given."""
+    r = n if rank is None else rank
+    b = rng.normal(size=(n, r)) + 1.0j * rng.normal(size=(n, r))
     return scale * (b @ b.conj().T) / n
 
 

@@ -440,6 +440,21 @@ def test_document_symmetry_check_is_scale_relative():
         SystemDocument.from_dict(data)
 
 
+def test_document_symmetry_check_is_relative_below_scale_one(tmp_path,
+                                                             capsys):
+    """An A_real whose asymmetry is of its own size exits 2, also at a
+    scale where an absolute 1e-12 would let it pass."""
+    data = _valid_doc_dict()
+    data["A_real"] = (1e-13 * np.random.default_rng(5).normal(
+        size=(3, 3))).tolist()
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: invalid document: real part must be symmetric to "
+        "1e-12 * max|A|\n")
+
+
 def test_document_bad_json_reports_location():
     with pytest.raises(CliParseError, match="line 1 column"):
         SystemDocument.from_json("{broken")
@@ -530,6 +545,23 @@ def test_analyze_report_content(tmp_path):
     assert report["fixed_point"]["purity"] == pytest.approx(1.0)
     assert report["fixed_point"]["is_physical"] is True
     assert report["warnings"] == []
+
+
+@pytest.mark.parametrize("gamma", ["1e-13", "1e-300"])
+def test_analyze_tiny_rates_agree_with_accessibility(tmp_path, gamma):
+    """At any positive rate the damping has a translation, so the report
+    that finds gl(n) x R^n also reads not unital, with the trace and
+    finite-time certificates active."""
+    doc = tmp_path / "doc.json"
+    assert main(["preset", "amplitude_damping", "--gamma", gamma, "--h03",
+                 "0.3", "--out", str(doc)]) == 0
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(doc), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["system"]["unital"] is False
+    assert report["accessibility"]["classification"] == "gl(n) x R^n"
+    assert report["accessibility"]["features"]["translation_dim"] == 3
+    assert report["certificates"]["active"] == ["trace", "finite_time"]
 
 
 def test_analyze_depolarizing_not_accessible(tmp_path):
@@ -680,6 +712,38 @@ def test_exit_code_4_on_ball_exit(tmp_path, capsys):
         "2**53 or more, which is out of range of the exponential; shorten "
         "the steps: lower horizon or control_bound (--horizon, "
         "--control-bound of reachable)\n")
+
+
+@pytest.mark.parametrize("gamma, flags, code", [
+    ("1", ["--horizon", "1e308"], 4),
+    ("1", ["--horizon", "1.7976931348623157e308", "--control-bound", "1e3"],
+     4),
+    ("0", ["--horizon", "1.7976931348623157e308", "--control-bound", "0"],
+     0)])
+def test_reachable_at_the_largest_horizons_warns_nothing(tmp_path, gamma,
+                                                         flags, code):
+    """Run under -W error on the bit-flip preset: horizons up to the
+    largest double give a result, or the ball-exit error that names the
+    step out of range of expm and --horizon, never a warning or a
+    traceback."""
+    doc = tmp_path / "doc.json"
+    assert main(["preset", "bit_flip", "--gamma", gamma, "--out",
+                 str(doc)]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "lindbladctl", "reachable",
+         str(doc), "--samples", "70", *flags],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr.startswith("error: state left the coherence ball")
+        assert proc.stderr.endswith("(--horizon, --control-bound of "
+                                    "reachable)\n")
+    else:
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["max_norm_increase"] == 0.0
 
 
 def test_exit_code_4_on_dissipator_overflow(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Dissipator assembly against the density-matrix oracle and known channels."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -155,6 +156,22 @@ def test_non_hermitian_input_rejected():
         assemble_dissipator(bad, basis)
 
 
+def test_symmetry_checks_are_relative_below_scale_one():
+    """A matrix whose asymmetry is of its own size is refused at any scale,
+    also where 1e-12 in absolute terms would let it pass."""
+    rng = np.random.default_rng(5)
+    B = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    with pytest.raises(ValueError, match=r"Hermitian to 1e-12 \* max\|A\|"):
+        GksMatrix(1e-13 * B)
+    with pytest.raises(ValueError, match="real part must be symmetric"):
+        GksMatrix.from_real_imag(1e-13 * B.real, np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="imaginary part must be antisym"):
+        GksMatrix.from_real_imag(np.zeros((3, 3)), 1e-13 * B.imag)
+    with pytest.raises(ValueError, match="imaginary part"):
+        assemble_dissipator(1e-13 * B, gellmann_basis(2))
+    GksMatrix(1e-13 * (B + B.conj().T))
+
+
 def test_check_psd():
     r = check_psd(np.diag([1.0, 2.0, 3.0]))
     assert r.is_psd and not r.on_boundary and r.min_eigenvalue == 1.0
@@ -164,23 +181,60 @@ def test_check_psd():
     assert not r.is_psd and r.min_eigenvalue == pytest.approx(-0.5)
 
 
+def _indefinite(rng, n):
+    """A Hermitian matrix with eigenvalue -1 and the others in (0, 2)."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    eigs = np.concatenate([[-1.0], rng.uniform(0.1, 2.0, size=n - 1)])
+    return (q * eigs) @ q.conj().T
+
+
 def test_check_minors_matches_eigenvalues():
+    """Full-rank PSD, rank-2 PSD and Hermitian matrices at the scales
+    1e-12, 1 and 1e12: the minors and the eigenvalues give one verdict."""
     rng = np.random.default_rng(9)
-    for _ in range(200):
-        if rng.uniform() < 0.5:
-            A = random_psd(rng, 3)
-        else:
-            A = random_hermitian(rng, 3)
+    for scale, kind in itertools.product((1e-12, 1.0, 1e12), (0, 1, 2) * 200):
+        A = scale * (random_psd(rng, 3) if kind == 0 else
+                     random_psd(rng, 3, rank=2) if kind == 1 else
+                     random_hermitian(rng, 3))
         params = (A[0, 1].real, A[0, 1].imag, A[0, 2].real, A[0, 2].imag,
                   A[1, 2].real, A[1, 2].imag,
                   A[0, 0].real, A[1, 1].real, A[2, 2].real)
         np.testing.assert_allclose(two_level_gks(params).entries, A,
-                                   atol=1e-12)
+                                   rtol=0, atol=1e-12 * scale)
         report = check_minors_2level(params)
         assert report.all_pass == check_psd(A, tol=1e-10).is_psd
+        if kind == 1:
+            assert report.all_pass
         # the 3x3 minor is the determinant
         assert report.values["minor3"] == pytest.approx(
-            np.linalg.det(A).real, abs=1e-10)
+            np.linalg.det(A).real, abs=1e-10 * scale ** 3)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_check_psd_is_scale_free(N):
+    """Rank-2 PSD matrices at 1e6 and 1e9 are admissible and on the
+    boundary; clearly indefinite ones at 1e-12 are not admissible."""
+    n = N * N - 1
+    for k in range(20):
+        rng = np.random.default_rng([77, N, k])
+        rank2, indefinite = random_psd(rng, n, rank=2), _indefinite(rng, n)
+        for scale in (1e6, 1e9):
+            assert check_psd(scale * rank2)[::2] == (True, True), (k, scale)
+        report = check_psd(1e-12 * indefinite)
+        assert not report.is_psd and not report.on_boundary, k
+        assert report.min_eigenvalue == pytest.approx(-1e-12)
+        assert check_psd(1e-12 * (indefinite + 2.0 * np.eye(n)))[::2] \
+            == (True, False)
+
+
+def test_is_unital_is_scale_free():
+    """A translation of 1e-11 relative to the linear part is not unital at
+    any scale, and a zero one is unital at every scale."""
+    linear = -np.eye(3)
+    for scale in (1e-300, 1e-13, 1.0, 1e13, 1e300):
+        assert not is_unital(AffineGenerator(scale * linear,
+                                             [0.0, 0.0, 1e-11 * scale]))
+        assert is_unital(AffineGenerator(scale * linear))
 
 
 def test_minors_all_zero_pass_with_equality():

@@ -403,6 +403,18 @@ def test_draw_law_sanity():
         assert abs(mean - 1.0 / m) < 0.05, (m, mean)
 
 
+def test_segment_bounds_stay_finite_at_the_largest_horizon():
+    """horizon * cum overflows there; the bounds are still the horizon
+    times the unit split, finite, with the last exactly the horizon."""
+    big = float(np.finfo(float).max)
+    bounds, _ = _draw_controls(3, range(64), big, 10.0, 1)
+    unit, _ = _draw_controls(3, range(64), 1.0, 10.0, 1)
+    used = np.isfinite(unit)
+    assert np.array_equal(np.isfinite(bounds), used)
+    np.testing.assert_allclose(bounds[used] / big, unit[used], rtol=1e-15)
+    assert np.all(bounds[np.arange(64), used.sum(axis=1) - 1] == big)
+
+
 def test_sample_reachable_memory_is_bounded_by_the_block():
     # the working set is one block of (S, N^2, N^2) stacks, not all samples
     system = preset("phase_flip", gamma=0.5)

@@ -20,8 +20,9 @@ from _oracles import (ad_su_row_closure, affine_lie_dim, casimir_pieces,
 from lindbladctl import (PRESET_NAMES, AffineGenerator, ControlSystem,
                         GksMatrix, accessibility, adjoint_generator,
                         assemble_dissipator, bracket, classify, closure,
-                        gellmann_basis, hamiltonian_controllability, liealg,
-                        m_matrix, noncontrollability_certificates, preset,
+                        gellmann_basis, hamiltonian_controllability,
+                        is_unital, liealg, m_matrix,
+                        noncontrollability_certificates, preset,
                         two_level_gks, verify_structure_constants)
 from lindbladctl.cli import SystemDocument, _analyze_report
 from lindbladctl.liealg import BRACKET_TABLE
@@ -806,6 +807,49 @@ def test_certificates_vanish_without_dissipation():
                            dissipator=AffineGenerator.zero(3))
     report = noncontrollability_certificates(system)
     assert report.active_names == ()
+
+
+def _noise_verdict(system):
+    """admissible, gks_on_boundary, unital and the active certificates."""
+    return (system.admissible, system.psd.on_boundary,
+            is_unital(system.dissipator),
+            noncontrollability_certificates(system).active_names)
+
+
+def _gks_system(N, entries):
+    basis = gellmann_basis(N)
+    gks = GksMatrix(entries)
+    return ControlSystem(N=N, hamiltonian=AffineGenerator.zero(basis.n),
+                         controls=(),
+                         dissipator=assemble_dissipator(gks, basis), gks=gks)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("h03", [0.0, 0.7])
+def test_preset_noise_verdicts_are_invariant_under_rate_scaling(name, h03):
+    """gamma = 0.7 * 10**e for e = -12..12: admissible, gks_on_boundary,
+    unital and the certificates read the same at every scale."""
+    verdicts = {_noise_verdict(SystemDocument.from_preset(
+        name, gamma=0.7 * 10.0 ** e, h03=h03).to_control_system())
+        for e in range(-12, 13)}
+    assert len(verdicts) == 1, verdicts
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("rank2", [False, True], ids=["full", "rank2"])
+def test_random_noise_verdicts_are_invariant_under_rate_scaling(N, rank2):
+    """Random full-rank and rank-2 PSD GKS matrices scaled by 10**e,
+    e = -12..12: one verdict per matrix, on the boundary iff rank 2."""
+    n = N * N - 1
+    for k in range(3):
+        rng = np.random.default_rng([77, N, k])
+        entries = random_psd(rng, n, rank=2 if rank2 else None)
+        verdicts = {_noise_verdict(_gks_system(N, 10.0 ** e * entries))
+                    for e in range(-12, 13)}
+        assert len(verdicts) == 1, (k, verdicts)
+        (admissible, on_boundary, unital, active), = verdicts
+        assert admissible and on_boundary == rank2 and not unital
+        assert active == ("trace", "finite_time")
 
 
 def test_hamiltonian_controllability_two_level():
