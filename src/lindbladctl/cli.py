@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import PRESET_NAMES, ChannelPreset
+from .channels import PRESET_NAMES, ChannelPreset, _preset_data
 # check_psd and fixed_point are not called here (ControlSystem keeps their
 # results), but bench/spans.py wraps both by their names in this module.
 from .dissipator import (GksMatrix, assemble_dissipator, check_psd,
@@ -514,7 +514,6 @@ class SystemDocument:
         """
         if isinstance(spec, str):
             spec = ChannelPreset(spec, dict(params))
-        from .channels import _preset_data
         _, a = _preset_data(spec.name, spec.gamma)
         s = 1.0 / np.sqrt(2.0)
         return cls(

@@ -27,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .affine import AffineGenerator, _negligible
+from .states import CoherenceVector
 
 __all__ = ["GksMatrix", "AffineGenerator", "assemble_dissipator",
            "check_psd", "PsdReport", "check_minors_2level", "MinorsReport",
@@ -92,13 +93,22 @@ def assemble_dissipator(A, basis):
     G_lr = tr(lambda_l D(lambda_r)), with D written as an N^2 x N^2
     Liouville supermatrix acting on row-major vec(X).  A residual imaginary
     part above 1e-12 * max|A| indicates a non-Hermitian input and
-    raises ValueError.  Entries so large that the generator overflows a
-    double raise FloatingPointError, without RuntimeWarnings.
+    raises ValueError.  The assembly runs on A scaled by the power of two
+    that puts max|A| in [1/2, 1), and the generator is scaled back: the
+    assembly is linear in A and such scaling is exact, so results are the
+    same bits at ordinary scales, and subnormal entries assemble without
+    rounding in absolute steps.  Entries so large that the generator or
+    its trace (the volume contraction rate) overflows a double raise
+    FloatingPointError, without RuntimeWarnings.
     """
     entries = A.entries if isinstance(A, GksMatrix) else np.asarray(A, dtype=complex)
     n, N = basis.n, basis.N
     if entries.shape != (n, n):
         raise ValueError("A must be %d x %d" % (n, n))
+    # np.ldexp takes no complex input
+    exponent = np.frexp(np.max(np.abs(entries), initial=0.0))[1]
+    entries = (np.ldexp(entries.real, -exponent)
+               + 1.0j * np.ldexp(entries.imag, -exponent))
     with np.errstate(over="ignore", invalid="ignore"):
         vecs = basis.lambdas.reshape(n, N * N)
         c = (entries @ vecs).reshape(n, N, N)    # c_j = sum_k a_jk lambda_k
@@ -117,14 +127,18 @@ def assemble_dissipator(A, basis):
         f = basis.f.reshape(n * n, n)
         translation = (1.0j / np.sqrt(N)) * (
             entries.real.ravel() @ f + 1.0j * (entries.imag.ravel() @ f))
-    if not (np.all(np.isfinite(linear)) and np.all(np.isfinite(translation))):
+        linear_real = np.ldexp(linear.real, exponent)
+        translation_real = np.ldexp(translation.real, exponent)
+        trace = np.trace(linear_real)
+    if not (np.all(np.isfinite(linear_real))
+            and np.all(np.isfinite(translation_real)) and np.isfinite(trace)):
         raise FloatingPointError("the assembled dissipator overflows a "
                                  "double: the GKS entries are too large")
     tol = _scaled_tol(entries)
     if np.max(np.abs(linear.imag)) > tol or np.max(np.abs(translation.imag)) > tol:
         raise ValueError("assembled dissipator has an imaginary part; "
                          "A is not Hermitian to working precision")
-    return AffineGenerator(linear.real, translation.real)
+    return AffineGenerator(linear_real, translation_real)
 
 
 class PsdReport(NamedTuple):
@@ -233,8 +247,6 @@ def fixed_point(drift, rcond=1e-10):
     is not validated against the ball constraint; inadmissible systems can
     have formal fixed points outside it.
     """
-    from .states import CoherenceVector
-
     n = drift.n
     N = int(round(np.sqrt(n + 1)))
     if N * N - 1 != n:

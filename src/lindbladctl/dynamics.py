@@ -28,6 +28,8 @@ from math import factorial
 
 import numpy as np
 
+from .dissipator import is_unital
+
 __all__ = ["PiecewiseControl", "Trajectory", "BallExitError", "propagate",
            "determinant_check", "purity_rate", "sample_reachable",
            "ReachableResult", "expm"]
@@ -256,7 +258,9 @@ def propagate(system, control, rho_init, samples_per_segment=20):
     s = samples_per_segment
     tau = np.array([d for d, _ in control.segments]) / s
     amps = np.array([u for _, u in control.segments]).reshape(len(tau), q)
-    gen = _generator_stack(system, amps) * tau[:, None, None]
+    # an overflowed step is out of range of expm; _check_ball names it
+    with np.errstate(over="ignore"):
+        gen = _generator_stack(system, amps) * tau[:, None, None]
     steps = expm(gen)
 
     bar = np.tile(rho_init.bar, (len(tau) * s + 1, 1))
@@ -264,7 +268,11 @@ def propagate(system, control, rho_init, samples_per_segment=20):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(bar) - 1):
             bar[k + 1] = steps[k // s] @ bar[k]
-    times = np.concatenate(([0.0], np.cumsum(np.repeat(tau, s))))
+    # the sub-steps can round to a sum past the largest double at the
+    # largest horizons; only those times are replaced, by the total
+    with np.errstate(over="ignore"):
+        times = np.concatenate(([0.0], np.cumsum(np.repeat(tau, s))))
+    times[np.isinf(times)] = control.total_duration
     states = bar[:, 1:]
     sq = np.einsum("ij,ij->i", states, states)
     _check_ball(sq[1:], system.N, lambda i: "t=%.6g" % times[i + 1],
@@ -364,8 +372,6 @@ def sample_reachable(system, rho_init, horizon, num_samples=500, seed=0,
         raise ValueError("grid_points must be >= 2")
     if rho_init.N != system.N:
         raise ValueError("initial state dimension does not match the system")
-    from .dissipator import is_unital
-
     n = system.N * system.N - 1
     grid = np.linspace(0.0, horizon, grid_points)
     points = np.empty((num_samples, grid_points, n))

@@ -213,9 +213,12 @@ def closure(generators, tol=1e-9, max_generations=8):
     involving at least one element new in the previous round, keeping a
     bracket when its norm and its unit-normalized residual against the
     current orthonormal basis both exceed tol.  Stops when a full round
-    adds nothing or after max_generations productive rounds.  The members
-    stay one array of rows; tol also decides the features, computed once
-    here, and the classification.  A tol outside (0, 1) raises ValueError.
+    adds nothing, after max_generations productive rounds, or at max_dim:
+    n^2 + n, or n^2 when every translation entry is exactly 0.0, since
+    brackets, normalizing and projecting keep a zero translation column
+    exactly zero, so the closure stays in gl(n).  The members stay one
+    array of rows; tol also decides the features, computed once here, and
+    the classification.  A tol outside (0, 1) raises ValueError.
     """
     _check_tol(tol)
     generators = list(generators)
@@ -226,8 +229,9 @@ def closure(generators, tol=1e-9, max_generations=8):
         raise ValueError("generators have mismatched dimensions")
     m = n + 1
     seeds = np.array([g.homogeneous.ravel() for g in generators])
+    max_dim = n * n + n * bool(np.any(seeds.reshape(-1, m, m)[:, 1:, 0]))
     rows, generations, converged = _bracket_closure(
-        seeds, _matrix_commutator(m), n * n + n, tol, max_generations)
+        seeds, _matrix_commutator(m), max_dim, tol, max_generations)
     if not len(rows):
         raise ValueError("all generators are numerically zero")
     rows.flags.writeable = False
@@ -341,13 +345,14 @@ def accessibility(system, tol=1e-9, max_generations=8):
     them; generations counts the rounds of the piece closure.  The
     translation ideal is invariant under ad su(N), which acts irreducibly,
     so it is 0 or all of R^n; it is 0 iff every element fixes a common
-    point, and ad su(N) fixes only 0, so q = 0 iff is_unital(D, tol), and
-    closure_dim is p + q.
+    point, and ad su(N) fixes only 0, so q = 0 iff is_unital(D), the
+    verdict and tolerance of analyze's unital, and closure_dim is p + q.
 
     route "affine": every other system gets the affine closure and its
-    features.  Both routes take the label from _label; the ad su route
-    knows that the algebra contains ad su(N), and closure tests it.  A tol
-    outside (0, 1) raises ValueError.
+    features, which stops at gl(n) when no generator has a nonzero
+    translation entry (see closure).  Both routes take the label from
+    _label; the ad su route knows that the algebra contains ad su(N), and
+    closure tests it.  A tol outside (0, 1) raises ValueError.
     """
     _check_tol(tol)
     if _ad_su_rows(system, tol, max_generations) is None:
@@ -367,7 +372,7 @@ def accessibility(system, tol=1e-9, max_generations=8):
             N, linear, tol, max_generations)
         p = n + sum(dim for name, _, _, dim in _piece_table(N)
                     if name in pieces)
-        q = 0 if is_unital(D, tol) else n
+        q = 0 if is_unital(D) else n
         dim = p + q
         has_trace = "RI" in pieces
         label = _label(p, q, has_trace, n, True) if converged else None

@@ -310,8 +310,9 @@ def linear_closure(system, tol=1e-9, max_generations=8):
     the controls' orthonormal ad su(N) rows and D.linear (seeded when
     |D.linear| > tol * |D|) by liealg's bracket engine, up to n^2 rows of
     length n^2, O(n^6).  p is the row count, has_trace tests the norm of
-    the rows' traces against tol, q is 0 iff |D.translation| <= tol * |D|
-    (the translation ideal is 0 or R^n), and the label is taxonomy_label
+    the rows' traces against tol, q is 0 iff |D.translation| <= 1e-12 *
+    |D|, the unital rule at every tol (the translation ideal is 0 or
+    R^n), and the label is taxonomy_label
     of the rows.  This is what accessibility computed before it read the
     algebra off the Casimir pieces; apart from the bracket engine, it
     shares no code with that route.
@@ -331,7 +332,7 @@ def linear_closure(system, tol=1e-9, max_generations=8):
         seeds, liealg._matrix_commutator(n), n * n, tol, max_generations)
     linears = rows.reshape(-1, n, n)
     p = len(rows)
-    q = 0 if np.linalg.norm(D.translation) <= tol * D.norm() else n
+    q = 0 if np.linalg.norm(D.translation) <= 1e-12 * D.norm() else n
     traces = np.trace(linears, axis1=1, axis2=2)
     has_trace = bool(np.linalg.norm(traces) > tol)
     label = (taxonomy_label(linears, p, q, has_trace, n, tol) if converged

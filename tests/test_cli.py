@@ -746,6 +746,58 @@ def test_reachable_at_the_largest_horizons_warns_nothing(tmp_path, gamma,
         assert json.loads(proc.stdout)["max_norm_increase"] == 0.0
 
 
+@pytest.mark.parametrize("gamma, code", [("1", 4), ("0", 0)])
+def test_simulate_at_the_largest_horizon_warns_nothing(tmp_path, gamma,
+                                                       code):
+    """Run under -W error: at the largest double as horizon the sub-steps
+    of bit_flip are out of range of expm, and the error names the step and
+    --samples; phase_flip at gamma 0 stands still and its last t is the
+    horizon, although the sub-steps sum past the largest double."""
+    horizon = "1.7976931348623157e308"
+    name = "bit_flip" if code else "phase_flip"
+    doc = tmp_path / "doc.json"
+    assert main(["preset", name, "--gamma", gamma, "--out", str(doc)]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "lindbladctl", "simulate",
+         str(doc), "--horizon", horizon],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr.startswith("error: state left the coherence ball")
+        assert proc.stderr.endswith("shorten the steps: raise "
+                                    "samples_per_segment (--samples of "
+                                    "simulate)\n")
+    else:
+        assert proc.stderr == ""
+        rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+        table = np.array(rows, dtype=float)
+        assert table.shape == (21, 6) and np.all(np.isfinite(table))
+        assert table[-1, 0] == float(horizon)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_analyze_reads_subnormal_rates_as_unit_rates(tmp_path, capsys, N):
+    """A full-rank PSD A scaled to 1e-315, with two controls that generate
+    ad su(N), analyzes to the same verdict and label as at scale 1."""
+    n = N * N - 1
+    rng = np.random.default_rng(N)
+    A = random_psd(rng, n)
+    h0, controls = rng.normal(size=n), rng.normal(size=(2, n))
+    verdicts = []
+    for scale in (1.0, 1e-315):
+        doc = tmp_path / ("doc%g.json" % scale)
+        doc.write_text(SystemDocument(
+            N=N, h0=h0, controls=controls, a_real=scale * A.real,
+            a_imag=scale * A.imag).to_json())
+        assert main(["analyze", str(doc)]) == 0
+        acc = json.loads(capsys.readouterr().out)["accessibility"]
+        verdicts.append((acc["accessible"], acc["classification"]))
+    assert verdicts[0] == verdicts[1] == (True, "gl(n) x R^n")
+
+
 def test_exit_code_4_on_dissipator_overflow(tmp_path, capsys):
     """A finite GKS matrix whose dissipator overflows a double exits 4 with
     a message on every command that builds the system, not with a

@@ -172,6 +172,37 @@ def test_symmetry_checks_are_relative_below_scale_one():
     GksMatrix(1e-13 * (B + B.conj().T))
 
 
+@pytest.mark.parametrize("N, scale", [(2, 1e-315), (3, 1e-315),
+                                      (4, 1e-315), (3, 1e-320), (4, 1e-320)])
+def test_subnormal_gks_matrices_assemble(N, scale):
+    """A full-rank PSD A with subnormal entries assembles to its generator
+    at scale 1 times the scale, to the precision subnormals keep, and a
+    non-Hermitian one is still refused there."""
+    basis = gellmann_basis(N)
+    A = random_psd(np.random.default_rng(N), basis.n)
+    tiny = assemble_dissipator(GksMatrix(A * scale), basis).homogeneous
+    unit = assemble_dissipator(GksMatrix(A), basis).homogeneous
+    exponent = np.frexp(scale)[1]
+    err = np.max(np.abs(np.ldexp(tiny, -exponent)
+                        - np.ldexp(scale, -exponent) * unit))
+    assert err <= 1e-3 * np.max(np.abs(unit))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        assemble_dissipator(scale * np.triu(A), basis)
+
+
+@pytest.mark.parametrize("exponent", [-1000, -40, 40, 1000])
+def test_assembly_commutes_with_powers_of_two(exponent):
+    """The assembly is linear in A, so A times a power of two gives the
+    generator times that power, bit for bit, while neither side leaves
+    the normal range."""
+    basis = gellmann_basis(3)
+    A = random_psd(np.random.default_rng(8), basis.n)
+    scaled = assemble_dissipator(np.ldexp(A.real, exponent)
+                                 + 1j * np.ldexp(A.imag, exponent), basis)
+    assert np.array_equal(scaled.homogeneous, np.ldexp(
+        assemble_dissipator(A, basis).homogeneous, exponent))
+
+
 def test_check_psd():
     r = check_psd(np.diag([1.0, 2.0, 3.0]))
     assert r.is_psd and not r.on_boundary and r.min_eigenvalue == 1.0

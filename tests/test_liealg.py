@@ -166,6 +166,93 @@ def test_closure_dim_matches_affine_oracle():
     assert [closure([s.drift, *s.controls]).dim for s in randoms] == [72] * 3
 
 
+def _one_control_generators(N, real, translation=None):
+    """Drift and one control from rng [9100, N, k], k = 1 for a real GKS
+    matrix (a translation-free drift) and 2 for a complex one; translation
+    replaces the drift's translation entry 0 when given."""
+    basis = gellmann_basis(N)
+    rng = np.random.default_rng([9100, N, 1 if real else 2])
+    entries = random_psd(rng, basis.n)
+    gks = GksMatrix(entries.real if real else entries)
+    drift = (adjoint_generator(basis, rng.normal(size=basis.n))
+             + assemble_dissipator(gks, basis))
+    if translation is not None:
+        t = drift.translation.copy()
+        t[0] = translation
+        drift = AffineGenerator(drift.linear, t)
+    return [drift, adjoint_generator(basis, rng.normal(size=basis.n))]
+
+
+@pytest.mark.parametrize("generators, translated", [
+    ([m_matrix(k) for k in (1, 2, 3, 12)], False),
+    (_one_control_generators(3, real=True), False),
+    (_one_control_generators(4, real=True), False),
+    (_one_control_generators(3, real=False), True),
+    (_one_control_generators(3, real=True, translation=1e-300), True),
+    (_one_control_generators(4, real=True, translation=1e-300), True)],
+    ids=["M1-M2-M3-M12", "real-3", "real-4", "complex-3", "1e-300-3",
+         "1e-300-4"])
+def test_closure_bound_comes_from_the_translations(monkeypatch, generators,
+                                                   translated):
+    """closure caps the bracket closure at n^2 rows, gl(n), exactly when no
+    generator has a nonzero translation entry, however small; a capped
+    closure reads the same rows, rounds, features and label as the n^2 + n
+    one, which runs one more round that adds nothing."""
+    n = generators[0].n
+    m = n + 1
+    bounds = []
+    raw = liealg._bracket_closure
+
+    def recording(seeds, commutator, max_dim, tol, max_generations):
+        bounds.append(max_dim)
+        return raw(seeds, commutator, max_dim, tol, max_generations)
+
+    monkeypatch.setattr(liealg, "_bracket_closure", recording)
+    c = closure(generators)
+    assert bounds == [n * n + n if translated else n * n]
+    seeds = np.array([g.homogeneous.ravel() for g in generators])
+    rows, generations, converged = raw(
+        seeds, liealg._matrix_commutator(m), n * n + n, 1e-9, 8)
+    assert np.array_equal(c.rows, rows)
+    assert (c.generations, c.converged) == (generations, converged)
+    features, label = liealg._features_and_label(rows.reshape(-1, m, m), 1e-9)
+    assert (c.features, c.classification) == (features, label)
+
+
+def test_capped_closure_converges_on_its_last_budgeted_round():
+    """M1, M2, M3 and M12 fill gl(3) on their second round.  Capped at n^2,
+    the closure knows it is done; at n^2 + n it needs a third round to see
+    that nothing more comes, so a budget of 2 leaves it unconverged."""
+    gens = [m_matrix(k) for k in (1, 2, 3, 12)]
+    c = closure(gens, max_generations=2)
+    assert (c.dim, c.generations, c.converged, c.classification) == (
+        9, 2, True, "gl(n)")
+    seeds = np.array([g.homogeneous.ravel() for g in gens])
+    rows, generations, converged = liealg._bracket_closure(
+        seeds, liealg._matrix_commutator(4), 12, 1e-9, 2)
+    assert (len(rows), generations, converged) == (9, 2, False)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-10, 1e-11, 1e-13])
+def test_ad_su_route_translation_dim_agrees_with_unital(eps, tol):
+    """On the ad su route q is 0 iff is_unital(D), the report's unital, at
+    every --tol: ad su(N) acts irreducibly on R^n, so a report cannot read
+    unital false next to translation_dim 0.  A = I + i eps (E12 - E21)
+    has a translation of relative size about eps."""
+    s = 1.0 / np.sqrt(2.0)
+    doc = SystemDocument(
+        N=2, h0=np.array([0.0, 0.0, 0.3]), controls=np.eye(3) * s,
+        a_real=np.eye(3),
+        a_imag=eps * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
+                               [0.0, 0.0, 0.0]]))
+    report, system = _analyze_report(doc, tol)
+    assert accessibility(system, tol=tol).route == "ad_su"
+    q = report["accessibility"]["features"]["translation_dim"]
+    assert report["system"]["unital"] == (q == 0)
+    assert q in (0, 3)
+
+
 #: (gamma, h03) cells of the preset documents the closure tests sweep.
 PRESET_GRID = [(gamma, h03) for gamma in (0.2, 0.7, 1.3, 2.0)
                for h03 in (0.3, -0.3, -0.9, 0.7)]
