@@ -75,10 +75,6 @@ class AffineGenerator:
     def translation(self):
         return self.homogeneous[1:, 0]
 
-    def apply(self, rho_bar):
-        """Apply to a homogeneous vector [rho0, rho]^T."""
-        return self.homogeneous @ np.asarray(rho_bar, dtype=float)
-
     def norm(self):
         """Frobenius norm of the homogeneous form, taken on its
         _pow2_scaled entries and scaled back; inf only when the norm itself

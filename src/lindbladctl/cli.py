@@ -33,8 +33,8 @@ from .channels import PRESET_NAMES, ChannelPreset, _preset_data
 # results), but bench/spans.py wraps both by their names in this module.
 from .dissipator import (GksMatrix, assemble_dissipator, check_psd,
                          fixed_point, is_unital, split_trace)
-from .dynamics import (BallExitError, PiecewiseControl, propagate,
-                       sample_reachable)
+from .dynamics import (NESTED_BALLS_TOL, BallExitError, PiecewiseControl,
+                       propagate, sample_reachable)
 from .liealg import (ControlSystem, accessibility,
                      noncontrollability_certificates,
                      hamiltonian_controllability)
@@ -790,7 +790,7 @@ def cmd_reachable(path, rho0=None, horizon=1.0, samples=500, seed=0,
     stats = {
         "report": "reachable",
         "schema_version": SCHEMA_VERSION,
-        "tolerances": dict(TOLERANCES),
+        "tolerances": dict(TOLERANCES, nested_balls=NESTED_BALLS_TOL),
         "parameters": {
             "horizon": horizon,
             "num_samples": samples,

@@ -38,6 +38,10 @@ __all__ = ["PiecewiseControl", "Trajectory", "BallExitError", "propagate",
 #: numerical (or admissibility) failure.
 BALL_EXIT_TOL = 1e-6
 
+#: Largest rise of a state norm, and of the sampled ball radius, that
+#: sample_reachable's nested_balls_ok still reads as nonincreasing.
+NESTED_BALLS_TOL = 1e-10
+
 #: Largest segment count a reachable-set sample draws.
 _MAX_SEGMENTS = 8
 
@@ -316,7 +320,8 @@ class ReachableResult:
     max_norm_increase is the largest increase of the state norm between
     consecutive recorded instants within any sample (for unital systems
     this stays at roundoff level).  nested_balls_ok reports, for unital
-    systems only, whether all norms were nonincreasing within 1e-10.
+    systems only, whether all norms were nonincreasing within
+    NESTED_BALLS_TOL.
     """
 
     grid: np.ndarray
@@ -386,8 +391,8 @@ def sample_reachable(system, rho_init, horizon, num_samples=500, seed=0,
     unital = is_unital(system.dissipator)
     nested = None
     if unital:
-        nested = bool(np.all(np.diff(max_norms) <= 1e-10)
-                      and max_increase <= 1e-10)
+        nested = bool(np.all(np.diff(max_norms) <= NESTED_BALLS_TOL)
+                      and max_increase <= NESTED_BALLS_TOL)
     return ReachableResult(grid=grid, points=points, max_norms=max_norms,
                            max_norm_increase=max_increase, unital=unital,
                            nested_balls_ok=nested)

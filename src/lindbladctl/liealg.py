@@ -350,21 +350,29 @@ def accessibility(system, tol=1e-9, max_generations=8):
 
     route "affine": every other system gets the affine closure and its
     features, which stops at gl(n) when no generator has a nonzero
-    translation entry (see closure).  Both routes take the label from
-    _label; the ad su route knows that the algebra contains ad su(N), and
-    closure tests it.  A tol outside (0, 1) raises ValueError.
+    translation entry (see closure).  When every generator is exactly
+    zero, which closure rejects, the algebra is {0}: closure_dim 0,
+    p = q = 0 without trace, converged, and not accessible.  Both routes
+    take the label from _label; the ad su route knows that the algebra
+    contains ad su(N), and closure tests it.  A tol outside (0, 1) raises
+    ValueError.
     """
     _check_tol(tol)
-    if _ad_su_rows(system, tol, max_generations) is None:
+    N, n = system.N, system.N * system.N - 1
+    generators = [system.drift, *system.controls]
+    if not any(np.any(g.homogeneous) for g in generators):
         route = "affine"
-        c = closure([system.drift, *system.controls], tol=tol,
-                    max_generations=max_generations)
+        (p, q, has_trace), dim = (0, 0, False), 0
+        generations, converged = 0, True
+        label = _label(p, q, has_trace, n, False)
+    elif _ad_su_rows(system, tol, max_generations) is None:
+        route = "affine"
+        c = closure(generators, tol=tol, max_generations=max_generations)
         (p, q, has_trace), dim = c.features, c.dim
         generations, converged, label = (c.generations, c.converged,
                                          c.classification)
     else:
         route = "ad_su"
-        N, n = system.N, system.N * system.N - 1
         D = system.dissipator
         linear = (None if _negligible(D.linear, D.homogeneous, tol)
                   else _pow2_scaled(D.linear))

@@ -9,15 +9,14 @@ matrices divided by sqrt(2).
 
 The antisymmetric structure tensor f and the symmetric tensor d are
 
-    f_jkl = -i tr([lambda_j, lambda_k] lambda_l)
-    d_jkl =    tr({lambda_j, lambda_k} lambda_l)
+    f_jkl = -i tr([lambda_j, lambda_k] lambda_l) = Im t_jkl - Im t_kjl
+    d_jkl =    tr({lambda_j, lambda_k} lambda_l) = Re t_jkl + Re t_kjl
 
-With this normalization f is fully antisymmetric with f_xyz = sqrt(2) at
-N = 2, and the anticommutator expands as
+with t_jkl = tr(lambda_j lambda_k lambda_l) = conj t_kjl; the basis never
+forms d.  With this normalization f is fully antisymmetric with f_xyz =
+sqrt(2) at N = 2, and the anticommutator expands as
 
     {lambda_j, lambda_k} = (2/sqrt(N)) delta_jk lambda_0 + sum_l d_jkl lambda_l.
-
-The basis stores f; structure_tensors computes d on demand.
 """
 
 from dataclasses import dataclass, field
@@ -68,19 +67,22 @@ def _gellmann_matrices(N):
     return mats
 
 
-def _structure_from_matrices(lams):
-    """Compute (f, d) from a stacked (n, N, N) array of basis matrices."""
-    # t[j, k, l] = tr(lambda_j lambda_k lambda_l) = vec(lambda_j lambda_k) .
-    # vec(lambda_l^T): one batched product, then one GEMM.
-    n, N = lams.shape[0], lams.shape[1]
+def _triple_traces(lams):
+    """(Im t, Re t), t_jkl = tr(lambda_j lambda_k lambda_l); ^T swaps j and k:
+    f = Im t - Im t^T, d = Re t + Re t^T, and the basis never forms d."""
+    n, N = lams.shape[:2]
+    # vec(lambda_j lambda_k) . vec(lambda_l^T): one batched product, one GEMM
     prods = (lams[:, None] @ lams[None]).reshape(n * n, N * N)
     t = (prods @ lams.transpose(0, 2, 1).reshape(n, N * N).T).reshape(n, n, n)
-    ts = np.swapaxes(t, 0, 1)
-    f = -1.0j * (t - ts)
-    d = t + ts
-    if np.max(np.abs(f.imag)) > 1e-12 or np.max(np.abs(d.imag)) > 1e-12:
+    return t.imag, t.real
+
+
+def _read(op, half, other):
+    """op(half, half^T), once op(other, other^T) vanishes to 1e-12."""
+    out = op(other, np.swapaxes(other, 0, 1))
+    if np.max(np.abs(out, out=out)) > 1e-12:
         raise RuntimeError("structure tensors are not real to working precision")
-    return np.ascontiguousarray(f.real), np.ascontiguousarray(d.real)
+    return op(half, np.swapaxes(half, 0, 1), out=out)
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +95,7 @@ def gellmann_basis(N):
         raise ValueError("N must be an integer >= 2")
     N = int(N)
     lambdas = _gellmann_matrices(N)
-    f, _ = _structure_from_matrices(lambdas)
+    f = _read(np.subtract, *_triple_traces(lambdas))
     lambda0 = np.eye(N, dtype=complex) / np.sqrt(N)
     for arr in (lambda0, f, lambdas):
         arr.flags.writeable = False
@@ -102,12 +104,11 @@ def gellmann_basis(N):
 
 
 def structure_tensors(basis):
-    """Compute (f, d) from the basis matrices; the only source of d.
-
-    f shares its code with basis.f; the independent checks are the
-    commutator and anticommutator expansions in the module docstring.
-    """
-    return _structure_from_matrices(basis.lambdas)
+    """(f, d) read off one triple-trace array; the only source of d.  f shares
+    its code with basis.f; the independent checks are the commutator and
+    anticommutator expansions in the module docstring."""
+    im, re = _triple_traces(basis.lambdas)
+    return _read(np.subtract, im, re), _read(np.add, re, im)
 
 
 def adjoint_generator(basis, h):
@@ -124,5 +125,4 @@ def adjoint_generator(basis, h):
     h = np.asarray(h, dtype=float)
     if h.shape != (basis.n,):
         raise ValueError("h must be a real vector of length %d" % basis.n)
-    linear = np.einsum("l,lkj->jk", h, basis.f)
-    return AffineGenerator(linear)
+    return AffineGenerator(np.einsum("l,lkj->jk", h, basis.f))

@@ -612,6 +612,26 @@ def test_analyze_without_controls(tmp_path, capsys):
     assert report["accessibility"]["accessible"] is False
 
 
+def test_analyze_all_zero_document_reports_the_zero_algebra(tmp_path):
+    # h0, controls and GKS matrix all zero: the algebra is {0}, which the
+    # affine closure alone would reject
+    data = SystemDocument.from_preset("depolarizing", gamma=0.0,
+                                      h03=0.0).to_dict()
+    data["controls"] = []
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["accessibility"] == {
+        "accessible": False, "closure_dim": 0, "classification": "other",
+        "generations": 0, "converged": True,
+        "features": {"linear_dim": 0, "translation_dim": 0,
+                     "has_trace": False}}
+    assert report["system"]["unital"] is True
+    assert report["hamiltonian_controllability"] is None
+
+
 @pytest.mark.parametrize("command, args, suffix", [
     ("analyze", [], ""),
     ("reachable", ["--samples", "20"], ".stats.json"),
@@ -1013,6 +1033,8 @@ def test_reachable_writes_csv_and_stats(tmp_path):
     assert stats["report"] == "reachable"
     assert stats["unital"] is True
     assert stats["nested_balls_ok"] is True
+    assert stats["tolerances"] == dict(
+        TOLERANCES, nested_balls=dynamics.NESTED_BALLS_TOL)
     assert len(stats["grid"]) == len(stats["max_norms"]) == 11
     assert stats["parameters"]["seed"] == 7
     csv1 = csv_path.read_bytes()

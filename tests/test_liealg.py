@@ -92,6 +92,22 @@ def test_closure_input_validation():
         closure([AffineGenerator.zero(3)])
 
 
+@pytest.mark.parametrize("N, num_controls", [(2, 0), (3, 2)])
+def test_accessibility_of_all_zero_generators_is_the_zero_algebra(
+        N, num_controls):
+    # closure rejects exactly zero generators (above); accessibility
+    # answers with {0}, which is decided and not accessible
+    zero = AffineGenerator.zero(N * N - 1)
+    system = ControlSystem(N=N, hamiltonian=zero,
+                           controls=[zero] * num_controls, dissipator=zero)
+    acc = accessibility(system)
+    assert (acc.accessible, acc.closure_dim, acc.classification,
+            acc.generations, acc.converged, acc.route) == (
+        False, 0, "other", 0, True, "affine")
+    assert acc.features == {"linear_dim": 0, "translation_dim": 0,
+                            "has_trace": False}
+
+
 def test_classify_translation_only_subspaces():
     # rotations plus one translation direction: brackets generate all
     # translations, giving the semidirect extension of the rotation algebra

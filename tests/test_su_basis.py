@@ -1,5 +1,7 @@
 """Hermitian operator basis: normalization, ordering, structure tensors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,9 +123,10 @@ def test_commutator_and_anticommutator_expansions(N):
         np.testing.assert_allclose(anti, expansion, atol=1e-12)
 
 
-def test_structure_tensors_cross_check():
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_structure_tensors_cross_check(N):
     # f and d against their defining traces, entry by entry
-    basis = gellmann_basis(3)
+    basis = gellmann_basis(N)
     f, d = structure_tensors(basis)
     np.testing.assert_array_equal(f, basis.f)
     lams = basis.lambdas
@@ -134,6 +137,24 @@ def test_structure_tensors_cross_check():
             (-1.0j * np.trace((prod - rev) @ lams[l])).real, abs=1e-13)
         assert d[j, k, l] == pytest.approx(
             np.trace((prod + rev) @ lams[l]).real, abs=1e-13)
+
+
+def test_structure_tensor_memory_at_N8():
+    # f alone takes n^3 * 8 B = 2.0 MB here.  Both builds peak near 4x
+    # that: the complex triple traces (2x) next to the batched products
+    # (2x), or next to f and d; forming d in complex arithmetic on the
+    # way to f takes 10x
+    limit = 5 * 63 ** 3 * 8
+    basis = gellmann_basis(8)
+    for build in (lambda: gellmann_basis.__wrapped__(8),
+                  lambda: structure_tensors(basis)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 def test_basis_cached_and_read_only():
