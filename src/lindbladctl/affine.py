@@ -84,9 +84,6 @@ class AffineGenerator:
             return float(np.ldexp(np.linalg.norm(
                 np.ldexp(self.homogeneous, -exponent)), exponent))
 
-    def is_zero(self, tol=1e-12):
-        return np.max(np.abs(self.homogeneous)) <= tol
-
     def bracket(self, other):
         return bracket(self, other)
 

@@ -29,16 +29,18 @@ from pathlib import Path
 import numpy as np
 
 from .channels import PRESET_NAMES, ChannelPreset, _preset_data
-# check_psd and fixed_point are not called here (ControlSystem keeps their
-# results), but bench/spans.py wraps both by their names in this module.
-from .dissipator import (GksMatrix, assemble_dissipator, check_psd,
-                         fixed_point, is_unital, split_trace)
-from .dynamics import (NESTED_BALLS_TOL, BallExitError, PiecewiseControl,
-                       propagate, sample_reachable)
-from .liealg import (ControlSystem, accessibility,
+# check_psd, is_unital and fixed_point are not called here (ControlSystem
+# keeps their results), but bench/spans.py wraps all three by their names in
+# this module.
+from .dissipator import (FIXED_POINT_RCOND, PSD_TOL, UNITAL_TOL, GksMatrix,
+                         assemble_dissipator, check_psd, fixed_point,
+                         is_unital, split_trace)
+from .dynamics import (BALL_EXIT_TOL, NESTED_BALLS_TOL, BallExitError,
+                       PiecewiseControl, propagate, sample_reachable)
+from .liealg import (CLOSURE_TOL, ControlSystem, accessibility,
                      noncontrollability_certificates,
                      hamiltonian_controllability)
-from .states import CoherenceVector, is_physical, purity
+from .states import PHYSICALITY_TOL, CoherenceVector, is_physical, purity
 from .su_basis import adjoint_generator, gellmann_basis
 
 __all__ = ["SystemDocument", "CliParseError", "InadmissibleSystemError",
@@ -47,13 +49,15 @@ __all__ = ["SystemDocument", "CliParseError", "InadmissibleSystemError",
 
 SCHEMA_VERSION = 1
 
+#: The fixed tolerances that analyze and reachable print, by their names
+#: in the modules that read them; analyze prints its --tol as closure.
 TOLERANCES = {
-    "closure": 1e-9,
-    "psd": 1e-10,
-    "unital": 1e-12,
-    "fixed_point_rcond": 1e-10,
-    "physicality": 1e-9,
-    "ball_exit": 1e-6,
+    "closure": CLOSURE_TOL,
+    "psd": PSD_TOL,
+    "unital": UNITAL_TOL,
+    "fixed_point_rcond": FIXED_POINT_RCOND,
+    "physicality": PHYSICALITY_TOL,
+    "ball_exit": BALL_EXIT_TOL,
 }
 
 
@@ -652,9 +656,11 @@ def _parse_control(text, num_controls, horizon):
         raise CliParseError("--control: segments have %d amplitudes but the "
                             "document defines %d controls"
                             % (control.num_controls, num_controls))
-    # "not <=" also rejects a nan horizon
-    if horizon is not None \
-            and not abs(control.total_duration - horizon) <= 1e-9:
+    # the match is relative; the isfinite test rejects an inf horizon, which
+    # "<=" alone would match, and "not <=" rejects a nan one
+    if horizon is not None and not (
+            math.isfinite(horizon)
+            and abs(control.total_duration - horizon) <= 1e-9 * abs(horizon)):
         raise CliParseError("--control: total duration %.17g does not match "
                             "--horizon %.17g"
                             % (control.total_duration, horizon))
@@ -675,7 +681,6 @@ def _admissible_system(path, permissive):
 def _analyze_report(doc, tol):
     system = doc.to_control_system()
     psd = system.psd
-    unital = is_unital(system.dissipator)
     alpha, traceless = split_trace(system.dissipator)
     acc = accessibility(system, tol=tol)
     certs = noncontrollability_certificates(system)
@@ -697,6 +702,12 @@ def _analyze_report(doc, tol):
     if not acc.converged:
         warnings.append("Lie closure did not converge within the generation "
                         "budget; classification unavailable")
+    elif acc.accessible is None:
+        warnings.append("the dissipator is negligible against the drift "
+                        "(|D|/|drift| = %.3e, tol = %.3g), so the closure "
+                        "cannot tell it from zero; accessibility unknown"
+                        % (system.dissipator.norm() / system.drift.norm(),
+                           tol))
     fixed_block = None
     if fp is not None:
         phys = is_physical(fp)
@@ -718,7 +729,7 @@ def _analyze_report(doc, tol):
             "gks_min_eigenvalue": psd.min_eigenvalue,
             "gks_on_boundary": psd.on_boundary,
             "dissipator_trace": float(np.trace(system.dissipator.linear)),
-            "unital": unital,
+            "unital": system.unital,
         },
         "trace_split": {
             "alpha": alpha,
@@ -749,7 +760,7 @@ def _analyze_report(doc, tol):
     return report, system
 
 
-def cmd_analyze(path, out=None, tol=1e-9, permissive=False):
+def cmd_analyze(path, out=None, tol=CLOSURE_TOL, permissive=False):
     doc = SystemDocument.load(path)
     with _flag_values():
         report, system = _analyze_report(doc, tol)
@@ -865,9 +876,9 @@ def build_parser():
     p.add_argument("path", metavar="document",
                    help="system document (JSON)")
     p.add_argument("--out", help="write the report here (default: stdout)")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=float, default=CLOSURE_TOL,
                    help="Lie-closure residual tolerance, finite and in "
-                        "(0, 1) (default 1e-9)")
+                        "(0, 1) (default %(default)g)")
     p.add_argument("--permissive", action="store_true",
                    help="exit 0 even when the GKS matrix is not PSD")
     p.set_defaults(func=cmd_analyze)

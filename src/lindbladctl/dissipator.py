@@ -33,6 +33,19 @@ __all__ = ["GksMatrix", "AffineGenerator", "assemble_dissipator",
            "check_psd", "PsdReport", "check_minors_2level", "MinorsReport",
            "two_level_gks", "is_unital", "split_trace", "fixed_point"]
 
+#: Relative tolerance of check_psd's smallest eigenvalue.
+PSD_TOL = 1e-10
+
+#: Relative tolerance of check_minors_2level's principal minors.
+MINORS_TOL = 1e-12
+
+#: Relative tolerance of is_unital's translation (and of the trace
+#: certificate, see liealg.noncontrollability_certificates).
+UNITAL_TOL = 1e-12
+
+#: Smallest ratio of extreme singular values for which fixed_point solves.
+FIXED_POINT_RCOND = 1e-10
+
 
 def _scaled_tol(entries):
     """Rounding allowance 1e-12 * max|A| for symmetry checks."""
@@ -147,19 +160,19 @@ class PsdReport(NamedTuple):
     on_boundary: bool
 
 
-def check_psd(A, tol=1e-10):
+def check_psd(A):
     """Positive-semidefiniteness report for a Hermitian matrix.
 
-    tol is relative: the smallest eigenvalue is compared with tol times
-    the largest |eigenvalue| (see affine._negligible), so the verdict does
-    not change with the scale of A.  on_boundary flags a smallest
+    PSD_TOL is relative: the smallest eigenvalue is compared with PSD_TOL
+    times the largest |eigenvalue| (see affine._negligible), so the verdict
+    does not change with the scale of A.  on_boundary flags a smallest
     eigenvalue that small, i.e. A lies on an exposed face of the PSD cone;
     is_psd holds then or when it is positive.  A zero A is on the boundary.
     """
     entries = A.entries if isinstance(A, GksMatrix) else np.asarray(A, dtype=complex)
     eigs = np.linalg.eigvalsh(entries)
     min_eig = float(eigs[0])
-    on_boundary = _negligible(min_eig, np.max(np.abs(eigs)), tol)
+    on_boundary = _negligible(min_eig, np.max(np.abs(eigs)), PSD_TOL)
     return PsdReport(on_boundary or min_eig > 0.0, min_eig, on_boundary)
 
 
@@ -169,7 +182,7 @@ class MinorsReport(NamedTuple):
     all_pass: bool
 
 
-def check_minors_2level(params, tol=1e-12):
+def check_minors_2level(params):
     """Principal-minor inequalities for the two-level GKS matrix.
 
     params is the sequence (a4, a5, a6, a7, a8, a9, a10, a11, a12)
@@ -180,9 +193,10 @@ def check_minors_2level(params, tol=1e-12):
              [a6 - i a7, a8 - i a9,  a12     ]].
 
     Evaluates the three 1x1, three 2x2 and one 3x3 principal minors; A is
-    positive semidefinite iff all seven are nonnegative.  tol is relative,
-    as in check_psd: a minor of degree k passes when it is at least
-    -tol * max|a|**k, so the verdict does not change with the scale of A.
+    positive semidefinite iff all seven are nonnegative.  MINORS_TOL is
+    relative, as PSD_TOL is: a minor of degree k passes when it is at least
+    -MINORS_TOL * max|a|**k, so the verdict does not change with the scale
+    of A.
     """
     a4, a5, a6, a7, a8, a9, a10, a11, a12 = (float(x) for x in params)
     scale = max(abs(a) for a in (a4, a5, a6, a7, a8, a9, a10, a11, a12))
@@ -201,7 +215,7 @@ def check_minors_2level(params, tol=1e-12):
                    - 2.0 * a5 * (a6 * a9 - a7 * a8)),
     }
     # the degree of a minor is the digit in its name
-    passed = {name: value >= -tol * scale ** int(name[5])
+    passed = {name: value >= -MINORS_TOL * scale ** int(name[5])
               for name, value in values.items()}
     return MinorsReport(values, passed, all(passed.values()))
 
@@ -217,13 +231,13 @@ def two_level_gks(params):
     return GksMatrix(entries)
 
 
-def is_unital(L, tol=1e-12):
+def is_unital(L):
     """True when the generator has no translation part (fixes the identity).
 
-    tol is relative: the translation is compared with the whole homogeneous
-    generator by affine._negligible, which no scale of the rates changes
-    and no entry overflows.  A zero generator is unital."""
-    return _negligible(L.translation, L.homogeneous, tol)
+    UNITAL_TOL is relative: the translation is compared with the whole
+    homogeneous generator by affine._negligible, which no scale of the
+    rates changes and no entry overflows.  A zero generator is unital."""
+    return _negligible(L.translation, L.homogeneous, UNITAL_TOL)
 
 
 def split_trace(L):
@@ -238,21 +252,21 @@ def split_trace(L):
     return alpha, traceless
 
 
-def fixed_point(drift, rcond=1e-10):
+def fixed_point(drift):
     """Unique stationary coherence vector of the drift, or None.
 
     Solves B rho = -b rho0 for the affine drift (B, b).  Returns None when
-    the linear part is singular to rcond (ratio of extreme singular values),
-    in which case fixed points are absent or non-unique.  The returned state
-    is not validated against the ball constraint; inadmissible systems can
-    have formal fixed points outside it.
+    the linear part is singular to FIXED_POINT_RCOND (ratio of extreme
+    singular values), in which case fixed points are absent or non-unique.
+    The returned state is not validated against the ball constraint;
+    inadmissible systems can have formal fixed points outside it.
     """
     n = drift.n
     N = int(round(np.sqrt(n + 1)))
     if N * N - 1 != n:
         raise ValueError("generator dimension %d is not N^2 - 1 for integer N" % n)
     s = np.linalg.svd(drift.linear, compute_uv=False)
-    if s[0] == 0.0 or s[-1] / s[0] < rcond:
+    if s[0] == 0.0 or s[-1] / s[0] < FIXED_POINT_RCOND:
         return None
     rho0 = 1.0 / np.sqrt(N)
     rho = np.linalg.solve(drift.linear, -rho0 * drift.translation)

@@ -28,8 +28,6 @@ from math import factorial
 
 import numpy as np
 
-from .dissipator import is_unital
-
 __all__ = ["PiecewiseControl", "Trajectory", "BallExitError", "propagate",
            "determinant_check", "purity_rate", "sample_reachable",
            "ReachableResult", "expm"]
@@ -388,7 +386,7 @@ def sample_reachable(system, rho_init, horizon, num_samples=500, seed=0,
             control_bound, points[start:stop]))
 
     max_norms = np.linalg.norm(points, axis=2).max(axis=0)
-    unital = is_unital(system.dissipator)
+    unital = system.unital
     nested = None
     if unital:
         nested = bool(np.all(np.diff(max_norms) <= NESTED_BALLS_TOL)

@@ -27,9 +27,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .affine import AffineGenerator, _negligible, _pow2_scaled, bracket
-from .dissipator import (PsdReport, _scaled_tol, check_psd, fixed_point,
-                         is_unital)
-from .states import purity
+from .dissipator import (UNITAL_TOL, PsdReport, _scaled_tol, check_psd,
+                         fixed_point, is_unital)
+from .states import UNIT_PURITY_TOL, purity
 from .su_basis import gellmann_basis
 
 __all__ = ["ControlSystem", "LieClosure", "bracket", "closure", "classify",
@@ -41,6 +41,9 @@ __all__ = ["ControlSystem", "LieClosure", "bracket", "closure", "classify",
 
 #: Labels of closures that make the system accessible in the ball.
 ACCESSIBLE_LABELS = frozenset({"gl(n)", "gl(n) x R^n"})
+
+#: Default relative tolerance of the closures, their features and labels.
+CLOSURE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,9 +62,10 @@ class ControlSystem:
     check_psd report of gks (None without gks), and admissible is True
     when gks is None or positive semidefinite.  drift is the total drift,
     hamiltonian + dissipator; the two parts are kept separate because the
-    certificates depend on the dissipator alone.  fixed_point, the drift's
-    fixed point as dissipator.fixed_point returns it, is computed on first
-    use and kept.
+    certificates depend on the dissipator alone.  Two verdicts are computed
+    on first use and kept: unital, dissipator.is_unital of the dissipator,
+    and fixed_point, the drift's fixed point as dissipator.fixed_point
+    returns it.
     """
 
     N: int
@@ -96,6 +100,11 @@ class ControlSystem:
         object.__setattr__(self, "psd", psd)
         object.__setattr__(self, "admissible", psd is None or psd.is_psd)
         object.__setattr__(self, "drift", self.hamiltonian + self.dissipator)
+
+    @cached_property
+    def unital(self):
+        """dissipator.is_unital of the dissipator, computed on first use."""
+        return is_unital(self.dissipator)
 
     @cached_property
     def fixed_point(self):
@@ -206,7 +215,7 @@ def _check_tol(tol):
                          % float(tol))
 
 
-def closure(generators, tol=1e-9, max_generations=8):
+def closure(generators, tol=CLOSURE_TOL, max_generations=8):
     """Lie closure of a set of affine generators.
 
     Starting from the given generators, repeatedly brackets all pairs
@@ -218,7 +227,10 @@ def closure(generators, tol=1e-9, max_generations=8):
     brackets, normalizing and projecting keep a zero translation column
     exactly zero, so the closure stays in gl(n).  The members stay one
     array of rows; tol also decides the features, computed once here, and
-    the classification.  A tol outside (0, 1) raises ValueError.
+    the classification.  A closure that reaches max_dim spans all of gl(n),
+    or gl(n) x R^n, so its features are (n^2, dim - n^2, True) with no rank
+    SVD; a shorter one goes through _features_and_label.  A tol outside
+    (0, 1) raises ValueError.
     """
     _check_tol(tol)
     generators = list(generators)
@@ -235,7 +247,11 @@ def closure(generators, tol=1e-9, max_generations=8):
     if not len(rows):
         raise ValueError("all generators are numerically zero")
     rows.flags.writeable = False
-    features, label = _features_and_label(rows.reshape(-1, m, m), tol)
+    if len(rows) == max_dim:
+        features = (n * n, max_dim - n * n, True)
+        label = _label(*features, n, False)
+    else:
+        features, label = _features_and_label(rows.reshape(-1, m, m), tol)
     return LieClosure(rows=rows, generations=generations, converged=converged,
                       classification=label if converged else None, n=n,
                       features=features)
@@ -292,7 +308,7 @@ def _label(p, q, has_trace, n, spans_ad_su):
     return ("(%s) x R^n" if base.startswith("ad_su") else "%s x R^n") % base
 
 
-def classify(c, tol=1e-9):
+def classify(c, tol=CLOSURE_TOL):
     """Label the closure by its linear and translational content.
 
     Three features decide the label: the dimension p of the projection onto
@@ -325,12 +341,13 @@ class AccessibilityReport(NamedTuple):
     route: str
 
 
-def accessibility(system, tol=1e-9, max_generations=8):
+def accessibility(system, tol=CLOSURE_TOL, max_generations=8):
     """Decide accessibility in the ball from the closure of drift + controls.
 
     The system is accessible iff the closure is gl(n) or gl(n) x R^n.
     accessible is None (unknown) when the closure ran out of its generation
-    budget.  The input picks the route, named by route; both report the
+    budget, or when the affine route cannot see the dissipator (below).
+    The input picks the route, named by route; both report the
     features, size and label of the whole algebra at the same tol.
 
     route "ad_su": the controls alone generate ad su(N) and the Hamiltonian
@@ -345,14 +362,20 @@ def accessibility(system, tol=1e-9, max_generations=8):
     them; generations counts the rounds of the piece closure.  The
     translation ideal is invariant under ad su(N), which acts irreducibly,
     so it is 0 or all of R^n; it is 0 iff every element fixes a common
-    point, and ad su(N) fixes only 0, so q = 0 iff is_unital(D), the
-    verdict and tolerance of analyze's unital, and closure_dim is p + q.
+    point, and ad su(N) fixes only 0, so q = 0 iff system.unital, the
+    verdict of analyze's unital, and closure_dim is p + q.
 
     route "affine": every other system gets the affine closure and its
     features, which stops at gl(n) when no generator has a nonzero
     translation entry (see closure).  When every generator is exactly
     zero, which closure rejects, the algebra is {0}: closure_dim 0,
-    p = q = 0 without trace, converged, and not accessible.  Both routes
+    p = q = 0 without trace, converged, and not accessible.  When there
+    are controls and the dissipator D is nonzero but negligible against
+    the drift at tol (see affine._negligible), the closure cannot tell D
+    from zero, so a label that is not accessible gives accessible None,
+    not False; the closure's size, label and features stay as computed.
+    Without controls the algebra is span{drift} whatever D is, so False
+    stands.  Both routes
     take the label from _label; the ad su route knows that the algebra
     contains ad su(N), and closure tests it.  A tol outside (0, 1) raises
     ValueError.
@@ -360,6 +383,7 @@ def accessibility(system, tol=1e-9, max_generations=8):
     _check_tol(tol)
     N, n = system.N, system.N * system.N - 1
     generators = [system.drift, *system.controls]
+    D = system.dissipator
     if not any(np.any(g.homogeneous) for g in generators):
         route = "affine"
         (p, q, has_trace), dim = (0, 0, False), 0
@@ -373,19 +397,22 @@ def accessibility(system, tol=1e-9, max_generations=8):
                                          c.classification)
     else:
         route = "ad_su"
-        D = system.dissipator
         linear = (None if _negligible(D.linear, D.homogeneous, tol)
                   else _pow2_scaled(D.linear))
         pieces, generations, converged = _piece_closure(
             N, linear, tol, max_generations)
         p = n + sum(dim for name, _, _, dim in _piece_table(N)
                     if name in pieces)
-        q = 0 if is_unital(D) else n
+        q = 0 if system.unital else n
         dim = p + q
         has_trace = "RI" in pieces
         label = _label(p, q, has_trace, n, True) if converged else None
     features = {"linear_dim": p, "translation_dim": q, "has_trace": has_trace}
     accessible = label in ACCESSIBLE_LABELS if converged else None
+    if (accessible is False and route == "affine" and system.controls
+            and np.any(D.homogeneous)
+            and _negligible(D.homogeneous, system.drift.homogeneous, tol)):
+        accessible = None
     return AccessibilityReport(accessible, dim, label, generations,
                                converged, features, route)
 
@@ -585,7 +612,7 @@ class CertificatesReport(NamedTuple):
     note: Optional[str]
 
 
-def noncontrollability_certificates(system, tol=1e-12):
+def noncontrollability_certificates(system):
     """Obstructions to controllability that hold regardless of the controls.
 
     trace       : tr of the dissipator's linear part is negative, so the
@@ -599,8 +626,9 @@ def noncontrollability_certificates(system, tol=1e-12):
 
     Every test is scale-free: the dissipator vanishes only when it is
     exactly zero, trace needs a tr that is not negligible against the
-    linear part (see affine._negligible) and unital is is_unital at tol,
-    so no scale of the rates changes which certificates are active.
+    linear part at UNITAL_TOL (see affine._negligible) and unital is
+    system.unital, so no scale of the rates changes which certificates are
+    active.
 
     When the dissipator is nonzero but not unital and the drift has a fixed
     point of unit purity, the report notes that the closure of the reachable
@@ -609,9 +637,9 @@ def noncontrollability_certificates(system, tol=1e-12):
     L = system.dissipator
     nonzero = bool(np.any(L.homogeneous))
     tr = float(np.trace(L.linear))
-    unital = is_unital(L, tol)
+    unital = system.unital
 
-    trace_active = tr < 0.0 and not _negligible(tr, L.linear, tol)
+    trace_active = tr < 0.0 and not _negligible(tr, L.linear, UNITAL_TOL)
     unital_active = nonzero and unital
     finite_active = nonzero
 
@@ -634,7 +662,7 @@ def noncontrollability_certificates(system, tol=1e-12):
     note = None
     if nonzero and not unital:
         fp = system.fixed_point
-        if fp is not None and abs(purity(fp) - 1.0) <= 1e-9:
+        if fp is not None and abs(purity(fp) - 1.0) <= UNIT_PURITY_TOL:
             note = ("drift relaxes to a pure state: the closure of the "
                     "reachable set is the full ball asymptotically")
     return CertificatesReport(certs, tuple(c.name for c in certs if c.active),
@@ -646,7 +674,7 @@ class HamiltonianControllabilityReport(NamedTuple):
     dim: int
 
 
-def hamiltonian_controllability(basis, h0, hks, tol=1e-9):
+def hamiltonian_controllability(basis, h0, hks, tol=CLOSURE_TOL):
     """Rank condition for closed-system controllability.
 
     Works on coefficient vectors: H = sum_l h_l lambda_l brackets as

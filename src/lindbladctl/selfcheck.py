@@ -16,7 +16,7 @@ from .dissipator import (GksMatrix, assemble_dissipator, fixed_point,
 from .dynamics import PiecewiseControl, determinant_check, propagate
 from .liealg import (ACCESSIBLE_LABELS, accessibility,
                      hamiltonian_controllability, verify_structure_constants)
-from .states import CoherenceVector, purity
+from .states import UNIT_PURITY_TOL, CoherenceVector, purity
 from .su_basis import gellmann_basis, structure_tensors
 
 #: Representative coefficient families of the two-level taxonomy:
@@ -169,7 +169,7 @@ def _check_presets():
                             % (name, acc.closure_dim, acc.accessible, dim,
                                accessible))
     fp = fixed_point(preset("amplitude_damping", gamma=0.7).drift)
-    if fp is None or abs(purity(fp) - 1.0) > 1e-9:
+    if fp is None or abs(purity(fp) - 1.0) > UNIT_PURITY_TOL:
         failures.append("amplitude_damping: drift fixed point is not pure")
     if failures:
         return False, "; ".join(failures)

@@ -21,6 +21,12 @@ __all__ = ["CoherenceVector", "to_coherence", "from_coherence", "purity",
 
 BALL_TOL = 1e-9
 
+#: How far below zero is_physical lets the smallest eigenvalue go.
+PHYSICALITY_TOL = 1e-9
+
+#: Largest |tr(rho^2) - 1| at which a fixed point reads as a pure state.
+UNIT_PURITY_TOL = 1e-9
+
 
 class CoherenceVector:
     """Coherence-vector representation of a unit-trace Hermitian matrix.
@@ -117,14 +123,14 @@ class PhysicalityReport(NamedTuple):
     min_eigenvalue: float
 
 
-def is_physical(v, tol=1e-9):
+def is_physical(v):
     """Check positive semidefiniteness of the reconstructed matrix.
 
     Returns a (is_physical, min_eigenvalue) pair; the state is physical when
-    the smallest eigenvalue is >= -tol.  Ball membership alone does not
-    guarantee this for N > 2.
+    the smallest eigenvalue is >= -PHYSICALITY_TOL.  Ball membership alone
+    does not guarantee this for N > 2.
     """
     basis = gellmann_basis(v.N)
     eigs = np.linalg.eigvalsh(from_coherence(v, basis))
     min_eig = float(eigs[0])
-    return PhysicalityReport(min_eig >= -tol, min_eig)
+    return PhysicalityReport(min_eig >= -PHYSICALITY_TOL, min_eig)

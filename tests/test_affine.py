@@ -55,7 +55,6 @@ def test_arithmetic():
     np.testing.assert_allclose(s.translation, a.translation + b.translation)
     np.testing.assert_allclose((-a).homogeneous, -a.homogeneous)
     assert a.norm() == pytest.approx(np.sqrt(3.0))
-    assert AffineGenerator.zero(4).is_zero()
 
 
 def test_bracket_matches_homogeneous_commutator():

@@ -18,9 +18,9 @@ from _oracles import d_piece_document, random_psd, reference_dumps
 from lindbladctl.cli import (TOLERANCES, CliParseError, SystemDocument,
                              _fmt_number, cloud_csv, cmd_analyze,
                              dumps_report, main, trajectory_csv)
-from lindbladctl import (CoherenceVector, PiecewiseControl, accessibility,
-                         check_psd, dynamics, fixed_point, is_physical,
-                         is_unital, liealg, preset, propagate,
+from lindbladctl import (AffineGenerator, CoherenceVector, PiecewiseControl,
+                         accessibility, check_psd, dynamics, fixed_point,
+                         is_physical, is_unital, liealg, preset, propagate,
                          sample_reachable, selfcheck)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -962,6 +962,28 @@ def test_simulate_control_horizon_mismatch(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def test_control_horizon_match_is_relative(tmp_path, capsys):
+    """The durations must sum to --horizon within 1e-9 of the horizon: a
+    sum one ulp off a horizon of 6.6e9 matches, and a 5e-10 segment does
+    not match a horizon of 1e-12."""
+    doc = _write_preset_doc(tmp_path, "bit_flip")
+    durations = [452841112.1378903, 380052014.8679215, 2752400849.594879,
+                 3048624403.817783]
+    horizon = 6633918380.418473
+    assert sum(durations) != horizon
+    out = tmp_path / "t.csv"
+    assert main(["simulate", str(doc), "--horizon", repr(horizon),
+                 "--control", json.dumps([[d, [0, 0, 0]] for d in durations]),
+                 "--samples", "2", "--out", str(out)]) == 0
+    assert float(out.read_text().splitlines()[-1].split(",")[0]) \
+        == pytest.approx(horizon, rel=1e-15)
+    assert main(["simulate", str(doc), "--horizon", "1e-12",
+                 "--control", "[[5e-10, [0, 0, 0]]]"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --control: total duration 5.0000000000000003e-10 does not "
+        "match --horizon 9.9999999999999998e-13\n")
+
+
 def test_rho0_validation(tmp_path, capsys):
     doc = _write_preset_doc(tmp_path, "phase_flip", gamma=0.5)
     assert main(["simulate", str(doc), "--rho0", "0.3,0.4"]) == 2
@@ -998,6 +1020,8 @@ BAD_FLAG_VALUES = [
     (["simulate", "--samples", "0"], "--samples: must be >= 1"),
     (["simulate", "--control", "[[0.5, [0, 0, 1]]]", "--horizon", "nan"],
      "--control: total duration 0.5 does not match --horizon nan"),
+    (["simulate", "--control", "[[0.5, [0, 0, 1]]]", "--horizon", "inf"],
+     "--control: total duration 0.5 does not match --horizon inf"),
     (["analyze", "--tol", "nan"],
      "--tol: must be finite and in (0, 1), got nan"),
     (["analyze", "--tol", "inf"],
@@ -1129,18 +1153,43 @@ def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
     assert "verify: 1/2 checks passed" in captured
 
 
-def test_printed_tolerances_are_the_defaults_in_use():
+def test_printed_tolerances_are_the_defaults_in_use(monkeypatch):
     """analyze and reachable print TOLERANCES: each entry must be the
-    default of the code it names, not a copy that can drift from it."""
-    def default(fn, name):
-        return inspect.signature(fn).parameters[name].default
+    module constant of the code it names, not a copy that can drift from
+    it, and that code must read its constant when it is called."""
+    from lindbladctl import dissipator, states
 
-    assert TOLERANCES == {
-        "closure": default(accessibility, "tol"),
-        "psd": default(check_psd, "tol"),
-        "unital": default(is_unital, "tol"),
-        "fixed_point_rcond": default(fixed_point, "rcond"),
-        "physicality": default(is_physical, "tol"),
+    constants = {
+        "closure": liealg.CLOSURE_TOL,
+        "psd": dissipator.PSD_TOL,
+        "unital": dissipator.UNITAL_TOL,
+        "fixed_point_rcond": dissipator.FIXED_POINT_RCOND,
+        "physicality": states.PHYSICALITY_TOL,
         "ball_exit": dynamics.BALL_EXIT_TOL,
     }
-    assert default(cmd_analyze, "tol") == TOLERANCES["closure"]
+    assert list(TOLERANCES) == list(constants)
+    assert all(TOLERANCES[key] is value for key, value in constants.items())
+    for fn in (cmd_analyze, accessibility, liealg.closure, liealg.classify,
+               liealg.hamiltonian_controllability):
+        assert inspect.signature(fn).parameters["tol"].default \
+            is liealg.CLOSURE_TOL
+
+    # each verdict holds at its constant and fails at a 100 times smaller one
+    gks = np.diag([-1e-11, 1.0, 1.0])
+    translated = AffineGenerator(np.eye(3), [1e-13, 0.0, 0.0])
+    singular = AffineGenerator(np.diag([1.0, 1.0, 1e-11]))
+    # eigenvalues 1/2 -+ rho_1/sqrt(2): the smaller one is -1e-10
+    edge = CoherenceVector(2, [np.sqrt(2.0) * (0.5 + 1e-10), 0.0, 0.0],
+                           tol=np.inf)
+    cases = (
+        (dissipator, "PSD_TOL", lambda: check_psd(gks).is_psd),
+        (dissipator, "UNITAL_TOL", lambda: is_unital(translated)),
+        (dissipator, "FIXED_POINT_RCOND",
+         lambda: fixed_point(singular) is None),
+        (states, "PHYSICALITY_TOL", lambda: is_physical(edge).is_physical),
+    )
+    for module, name, verdict in cases:
+        assert verdict() is True, name
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, getattr(module, name) / 100.0)
+            assert verdict() is False, name

@@ -233,7 +233,7 @@ def test_check_minors_matches_eigenvalues():
         np.testing.assert_allclose(two_level_gks(params).entries, A,
                                    rtol=0, atol=1e-12 * scale)
         report = check_minors_2level(params)
-        assert report.all_pass == check_psd(A, tol=1e-10).is_psd
+        assert report.all_pass == check_psd(A).is_psd
         if kind == 1:
             assert report.all_pass
         # the 3x3 minor is the determinant

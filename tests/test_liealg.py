@@ -269,6 +269,131 @@ def test_ad_su_route_translation_dim_agrees_with_unital(eps, tol):
     assert q in (0, 3)
 
 
+def test_analyze_decides_unital_once(monkeypatch):
+    """The report's unital, the ad su route's q and the unital certificate
+    read one verdict, ControlSystem.unital, computed once per system."""
+    calls = []
+    raw = liealg.is_unital
+
+    def counting(L):
+        calls.append(L)
+        return raw(L)
+
+    monkeypatch.setattr(liealg, "is_unital", counting)
+    doc = SystemDocument.from_preset("amplitude_damping", gamma=0.7, h03=0.3)
+    report, system = _analyze_report(doc, 1e-9)
+    assert accessibility(system).route == "ad_su"
+    assert len(calls) == 1
+    assert report["system"]["unital"] is system.unital is False
+    assert report["accessibility"]["features"]["translation_dim"] == 3
+    assert "unital" not in report["certificates"]["active"]
+
+
+def _one_control_document(N, k, exponent):
+    """Drift and one control from rng [9100, N, k] (h0, then the control,
+    then A = B B^dagger / n for a complex normal B), with the GKS matrix
+    scaled by 10**exponent."""
+    n = N * N - 1
+    rng = np.random.default_rng([9100, N, k])
+    h0 = rng.normal(size=n)
+    controls = rng.normal(size=(1, n))
+    b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = 10.0 ** exponent * (b @ b.conj().T) / n
+    return SystemDocument(N=N, h0=h0, controls=controls,
+                          a_real=0.5 * (a.real + a.real.T),
+                          a_imag=0.5 * (a.imag - a.imag.T))
+
+
+def test_affine_route_reads_null_where_the_dissipator_is_negligible():
+    """18 one-control systems, N = 2, 3, 4 and k = 0..5, with the GKS matrix
+    scaled by 10**e, e = -12, -9, ..., 12, all on the affine route.  At
+    e = -12 the dissipator is about 1e-12 of the drift, below tol, and 16
+    closures collapse to the Hamiltonian algebra ad su(N): those read
+    accessible None, not False, with the closure's size and label kept,
+    and analyze warns.  Every other cell reads True."""
+    unknown = []
+    for N, k in itertools.product((2, 3, 4), range(6)):
+        for exponent in range(-12, 13, 3):
+            system = _one_control_document(N, k, exponent).to_control_system()
+            acc = accessibility(system)
+            assert acc.route == "affine" and acc.converged
+            if acc.accessible is None:
+                n = N * N - 1
+                assert (acc.closure_dim, acc.classification) == (n, "ad_su")
+                unknown.append((N, k, exponent))
+            else:
+                assert acc.accessible is True, (N, k, exponent)
+    assert len(unknown) == 16
+    assert {exponent for _, _, exponent in unknown} == {-12}
+    report, system = _analyze_report(_one_control_document(2, 0, -12), 1e-9)
+    ratio = system.dissipator.norm() / system.drift.norm()
+    assert report["accessibility"]["accessible"] is None
+    assert report["warnings"] == [
+        "the dissipator is negligible against the drift (|D|/|drift| = "
+        "%.3e, tol = 1e-09), so the closure cannot tell it from zero; "
+        "accessibility unknown" % ratio]
+
+
+def test_negligible_dissipator_without_controls_stays_false():
+    """With no control the algebra is span{drift}, whatever D is, so the
+    affine route's False stands even when D is below tol."""
+    doc = _one_control_document(3, 0, -12)
+    system = dataclasses.replace(doc.to_control_system(), controls=())
+    acc = accessibility(system)
+    assert (acc.accessible, acc.closure_dim, acc.route) == (False, 1,
+                                                            "affine")
+
+
+def _shortcut_cases():
+    """Generators of the preset grid (gamma in {0, 1e-13, 0.3, 1, 7.5},
+    h03 in {0, 0.4}, 3, 1 or 0 controls) and of random one-control systems
+    at N = 2..5 with complex, real and rank-2 A."""
+    for name in PRESET_NAMES:
+        for gamma, h03 in itertools.product((0.0, 1e-13, 0.3, 1.0, 7.5),
+                                            (0.0, 0.4)):
+            system = SystemDocument.from_preset(
+                name, gamma=gamma, h03=h03).to_control_system()
+            for q in (3, 1, 0):
+                yield [system.drift, *system.controls[:q]]
+    for N, kind in itertools.product((2, 3, 4, 5),
+                                     ("complex", "real", "rank2")):
+        basis = gellmann_basis(N)
+        rng = np.random.default_rng([9200, N, len(kind)])
+        entries = random_psd(rng, basis.n, rank=2 if kind == "rank2" else None)
+        gks = GksMatrix(entries.real if kind == "real" else entries)
+        yield [adjoint_generator(basis, rng.normal(size=basis.n))
+               + assemble_dissipator(gks, basis),
+               adjoint_generator(basis, rng.normal(size=basis.n))]
+
+
+def test_full_closure_features_need_no_rank_svd(monkeypatch):
+    """A closure that reaches its bound reads (n^2, dim - n^2, True) and
+    its label without _features_and_label, and they equal what
+    _features_and_label reads off the same rows."""
+    calls = []
+    raw = liealg._features_and_label
+
+    def recording(stack, tol):
+        calls.append(len(stack))
+        return raw(stack, tol)
+
+    monkeypatch.setattr(liealg, "_features_and_label", recording)
+    full = 0
+    for generators in _shortcut_cases():
+        if not any(np.any(g.homogeneous) for g in generators):
+            continue
+        calls.clear()
+        c = closure(generators)
+        n, m = c.n, c.n + 1
+        translated = any(np.any(g.translation) for g in generators)
+        if c.dim == n * n + n * translated:
+            full += 1
+            assert calls == [] and c.features[0] == n * n
+        assert (c.features, c.classification) == raw(
+            c.rows.reshape(-1, m, m), 1e-9)
+    assert full >= 40
+
+
 #: (gamma, h03) cells of the preset documents the closure tests sweep.
 PRESET_GRID = [(gamma, h03) for gamma in (0.2, 0.7, 1.3, 2.0)
                for h03 in (0.3, -0.3, -0.9, 0.7)]
